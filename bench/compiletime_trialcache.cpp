@@ -7,12 +7,12 @@
 /// \file
 /// Measures what memoizing deep-inlining trials buys on repeated work:
 /// every workload is run three times with ONE compiler instance per cache
-/// mode — `off` (seed behavior), `per-compile` (reuse within a single
-/// compilation), `shared` (one cache across compilations, repetitions, and
-/// worker threads) — under the deterministic JIT at 1 and 4 worker
-/// threads. The compared quantity is the summed CompileStats::TrialNanos:
-/// wall time spent inside expandCutoff's trial section (clone + specialize
-/// + trial canonicalization + DCE, or the cache-hit clone+replay).
+/// mode — `off` (seed behavior) and `shared` (one cache across
+/// compilations, repetitions, and worker threads) — under the
+/// deterministic JIT at 1 and 4 worker threads. The compared quantity is
+/// the summed CompileStats::TrialNanos: wall time spent inside
+/// expandCutoff's trial section (clone + specialize + trial
+/// canonicalization + DCE, or the cache-hit clone+replay).
 ///
 /// Expected shape: `shared` collapses repetitions 2 and 3 (and repeated
 /// callees within each compilation) to cache hits, cutting total trial
@@ -39,7 +39,6 @@ const unsigned ThreadCounts[] = {1, 4};
 const char *modeLabel(inliner::TrialCacheMode Mode) {
   switch (Mode) {
   case inliner::TrialCacheMode::Off: return "off";
-  case inliner::TrialCacheMode::PerCompile: return "per-compile";
   case inliner::TrialCacheMode::Shared: return "shared";
   }
   return "?";
@@ -95,8 +94,7 @@ const CacheRunResult &resultOf(const Workload &W,
 void registerTrialCacheBenchmarks() {
   for (const Workload &W : allWorkloads())
     for (inliner::TrialCacheMode Mode :
-         {inliner::TrialCacheMode::Off, inliner::TrialCacheMode::PerCompile,
-          inliner::TrialCacheMode::Shared})
+         {inliner::TrialCacheMode::Off, inliner::TrialCacheMode::Shared})
       for (unsigned Threads : ThreadCounts)
         benchmark::RegisterBenchmark(
             ("trialcache/" + W.Name + "/" + modeLabel(Mode) + "/t" +
@@ -121,37 +119,28 @@ void printTables() {
     std::printf("\nDeep-trial wall time, %d repetitions per workload "
                 "(deterministic JIT, %u worker thread%s):\n",
                 Repeats, Threads, Threads == 1 ? "" : "s");
-    std::printf("%-24s %10s %12s %10s %11s %7s %5s %5s\n", "workload",
-                "off(ms)", "percomp(ms)", "shared(ms)", "shared/off",
-                "hits", "fp=", "out=");
-    double OffTotal = 0, PerCompileTotal = 0, SharedTotal = 0;
+    std::printf("%-24s %10s %10s %11s %7s %5s %5s\n", "workload", "off(ms)",
+                "shared(ms)", "shared/off", "hits", "fp=", "out=");
+    double OffTotal = 0, SharedTotal = 0;
     for (const Workload &W : allWorkloads()) {
       const CacheRunResult &Off =
           resultOf(W, inliner::TrialCacheMode::Off, Threads);
-      const CacheRunResult &PerCompile =
-          resultOf(W, inliner::TrialCacheMode::PerCompile, Threads);
       const CacheRunResult &Shared =
           resultOf(W, inliner::TrialCacheMode::Shared, Threads);
       const double OffMs = static_cast<double>(Off.TrialNanos) / 1e6;
-      const double PerCompileMs =
-          static_cast<double>(PerCompile.TrialNanos) / 1e6;
       const double SharedMs = static_cast<double>(Shared.TrialNanos) / 1e6;
       OffTotal += OffMs;
-      PerCompileTotal += PerCompileMs;
       SharedTotal += SharedMs;
-      const bool FpEqual = Off.StreamFp == PerCompile.StreamFp &&
-                           Off.StreamFp == Shared.StreamFp;
-      const bool OutEqual = Off.Output == PerCompile.Output &&
-                            Off.Output == Shared.Output;
-      std::printf("%-24s %10.3f %12.3f %10.3f %10.1f%% %7llu %5s %5s\n",
-                  W.Name.c_str(), OffMs, PerCompileMs, SharedMs,
+      const bool FpEqual = Off.StreamFp == Shared.StreamFp;
+      const bool OutEqual = Off.Output == Shared.Output;
+      std::printf("%-24s %10.3f %10.3f %10.1f%% %7llu %5s %5s\n",
+                  W.Name.c_str(), OffMs, SharedMs,
                   OffMs > 0 ? 100.0 * SharedMs / OffMs : 0.0,
                   static_cast<unsigned long long>(Shared.Hits),
                   FpEqual ? "yes" : "NO", OutEqual ? "yes" : "NO");
       recordJsonResult(
           W.Name + "/t" + std::to_string(Threads),
           {{"off_trial_ms", OffMs},
-           {"per_compile_trial_ms", PerCompileMs},
            {"shared_trial_ms", SharedMs},
            {"shared_hits", static_cast<double>(Shared.Hits)},
            {"shared_misses", static_cast<double>(Shared.Misses)},
@@ -160,14 +149,13 @@ void printTables() {
     }
     const double Reduction =
         OffTotal > 0 ? 100.0 * (1.0 - SharedTotal / OffTotal) : 0.0;
-    std::printf("%-24s %10.3f %12.3f %10.3f %10.1f%%\n", "TOTAL", OffTotal,
-                PerCompileTotal, SharedTotal,
+    std::printf("%-24s %10.3f %10.3f %10.1f%%\n", "TOTAL", OffTotal,
+                SharedTotal,
                 OffTotal > 0 ? 100.0 * SharedTotal / OffTotal : 0.0);
     std::printf("shared cache cuts total trial wall time by %.1f%% "
                 "(acceptance bar: >= 25%%)\n", Reduction);
     recordJsonResult("TOTAL/t" + std::to_string(Threads),
                      {{"off_trial_ms", OffTotal},
-                      {"per_compile_trial_ms", PerCompileTotal},
                       {"shared_trial_ms", SharedTotal},
                       {"shared_reduction_pct", Reduction}});
   }

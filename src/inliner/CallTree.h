@@ -71,6 +71,16 @@ public:
   /// share their parent's callsite until typeswitch emission gives each
   /// arm its own direct call.
   ir::Instruction *Callsite = nullptr;
+  /// Callsite's Instruction::instId(). Reconciliation matches children to
+  /// live callsites by this id, never by address: an erased call's address
+  /// can come back as a different instruction.
+  unsigned CallsiteId = 0;
+
+  /// Sets Callsite and CallsiteId together.
+  void setCallsite(ir::Instruction *Inst) {
+    Callsite = Inst;
+    CallsiteId = Inst ? Inst->instId() : 0;
+  }
 
   /// The specialized body (E nodes and the root). Kept outside the module.
   /// At most one of Body/CachedBody is set: Body is a private copy owned by

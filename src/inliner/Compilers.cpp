@@ -11,8 +11,6 @@
 #include "opt/PassPipeline.h"
 #include "opt/Passes.h"
 
-#include <optional>
-
 using namespace incline;
 using namespace incline::inliner;
 
@@ -106,21 +104,11 @@ IncrementalCompiler::compile(const ir::Function &Source, const ir::Module &M,
   IncrementalInliner Inliner(Effective, M, Profiles);
   Inliner.setPassContext(Session.ctx());
 
-  // Per-compile mode gets a private cache (intra-compilation reuse only);
-  // its lifetime counters fold into the compiler-level aggregate so stats
-  // survive the compilation. Shared mode uses the compiler-lifetime
-  // instance, which is internally synchronized for concurrent workers.
-  std::optional<TrialCache> LocalCache;
-  if (Config.TrialCache == TrialCacheMode::PerCompile) {
-    LocalCache.emplace(Config.TrialCacheCapacity);
-    Inliner.setTrialCache(&*LocalCache);
-  } else if (Config.TrialCache == TrialCacheMode::Shared) {
-    Inliner.setTrialCache(Cache.get());
-  }
+  // Shared mode uses the compiler-lifetime cache, which is internally
+  // synchronized for concurrent workers; Off leaves it null.
+  Inliner.setTrialCache(Cache.get());
 
   InlinerResult Result = Inliner.run(std::move(Clone.F), Source.name());
-  if (LocalCache && Cache)
-    Cache->absorbStats(LocalCache->cacheStats());
 
   Stats.InlinedCallsites = Result.CallsitesInlined;
   Stats.Rounds = Result.Rounds;

@@ -53,9 +53,7 @@ public:
   const InlinerConfig &config() const { return Config; }
 
   /// Shared mode: the deep-trial cache itself (the runtime routes
-  /// invalidation events here). PerCompile mode: a stats-only aggregate of
-  /// the per-compilation caches, so `minioo --stats` reports either way.
-  /// Off: null.
+  /// invalidation events here). Off: null.
   jit::CompileCache *compileCache() override { return Cache.get(); }
 
 private:

@@ -36,10 +36,9 @@ enum class InliningPolicyKind {
 
 /// Lifetime/sharing of the deep-trial memoization cache (TrialCache.h).
 enum class TrialCacheMode {
-  Off,        ///< Every trial recomputed from scratch (seed behavior).
-  PerCompile, ///< Fresh cache per compilation: intra-compile reuse only.
-  Shared,     ///< One compiler-lifetime cache shared across compilations
-              ///< and compile worker threads.
+  Off,    ///< Every trial recomputed from scratch (seed behavior).
+  Shared, ///< One compiler-lifetime cache shared across compilations and
+          ///< compile worker threads.
 };
 
 /// Full configuration of the incremental inlining algorithm.

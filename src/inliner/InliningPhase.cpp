@@ -110,7 +110,7 @@ private:
       N.Kind = CallNodeKind::Deleted;
       N.Body.reset();
       N.CachedBody.reset();
-      N.Callsite = nullptr;
+      N.setCallsite(nullptr);
       return;
     }
 
@@ -133,7 +133,7 @@ private:
     for (size_t I = 0; I < Children.size(); ++I)
       dispatchChild(std::move(Children[I]), Switch.DirectCalls[I]);
     N.Kind = CallNodeKind::Deleted;
-    N.Callsite = nullptr;
+    N.setCallsite(nullptr);
     // The fallback virtual call becomes a fresh Generic child of the root
     // at reconciliation (it has no receiver profile of its own).
   }
@@ -146,11 +146,11 @@ private:
       // a Generic node whose instruction was not cloned: drop the node.
       return;
     }
-    Child->Callsite = Mapped;
+    Child->setCallsite(Mapped);
     // P-target grandchildren share the virtual callsite pointer; fix them.
     if (Child->Kind == CallNodeKind::Polymorphic)
       for (const auto &Target : Child->Children)
-        Target->Callsite = Mapped;
+        Target->setCallsite(Mapped);
 
     if (Child->InCluster && (Child->Kind == CallNodeKind::Expanded ||
                              Child->Kind == CallNodeKind::Polymorphic)) {

@@ -7,6 +7,7 @@
 #include "inliner/TrialCache.h"
 
 #include "profile/ProfileData.h"
+#include "support/Hash.h"
 
 #include <algorithm>
 
@@ -18,25 +19,6 @@ using namespace incline::inliner;
 //===----------------------------------------------------------------------===//
 
 namespace {
-
-constexpr uint64_t FnvOffset = 14695981039346656037ull;
-constexpr uint64_t FnvPrime = 1099511628211ull;
-
-uint64_t fnv1a(uint64_t Hash, std::string_view Data) {
-  for (unsigned char C : Data) {
-    Hash ^= C;
-    Hash *= FnvPrime;
-  }
-  return Hash;
-}
-
-uint64_t fnv1a(uint64_t Hash, uint64_t Value) {
-  for (int I = 0; I < 8; ++I) {
-    Hash ^= (Value >> (I * 8)) & 0xff;
-    Hash *= FnvPrime;
-  }
-  return Hash;
-}
 
 std::atomic<bool> VerifyTrialCache{false};
 
@@ -51,25 +33,24 @@ bool incline::inliner::verifyTrialCacheEnabled() {
 }
 
 size_t TrialKeyHasher::operator()(const TrialKey &Key) const {
-  uint64_t Hash = FnvOffset;
-  Hash = fnv1a(Hash, Key.ModuleFp);
-  Hash = fnv1a(Hash, Key.ProfileFp);
-  Hash = fnv1a(Hash, Key.ConfigFp);
-  Hash = fnv1a(Hash, Key.CalleeSymbol);
+  uint64_t Hash = fnv1a(Key.ModuleFp, FnvOffsetBasis);
+  Hash = fnv1a(Key.ProfileFp, Hash);
+  Hash = fnv1a(Key.ConfigFp, Hash);
+  Hash = fnv1a(Key.CalleeSymbol, Hash);
   for (const auto &[Type, Exact] : Key.ArgSig) {
-    Hash = fnv1a(Hash, Type);
-    Hash = fnv1a(Hash, static_cast<uint64_t>(Exact));
+    Hash = fnv1a(Type, Hash);
+    Hash = fnv1a(static_cast<uint64_t>(Exact), Hash);
   }
   return static_cast<size_t>(Hash);
 }
 
 uint64_t TrialCache::profileFingerprint(const profile::ProfileTable &Profiles,
                                         std::string_view Method) {
-  uint64_t Hash = fnv1a(FnvOffset, Method);
+  uint64_t Hash = fnv1a(Method, FnvOffsetBasis);
   const profile::MethodProfile *MP = Profiles.find(Method);
   if (!MP)
     return Hash;
-  Hash = fnv1a(Hash, MP->InvocationCount);
+  Hash = fnv1a(MP->InvocationCount, Hash);
 
   std::vector<unsigned> Ids;
   Ids.reserve(MP->Branches.size());
@@ -78,9 +59,9 @@ uint64_t TrialCache::profileFingerprint(const profile::ProfileTable &Profiles,
   std::sort(Ids.begin(), Ids.end());
   for (unsigned Id : Ids) {
     const profile::BranchProfile &Branch = MP->Branches.at(Id);
-    Hash = fnv1a(Hash, static_cast<uint64_t>(Id));
-    Hash = fnv1a(Hash, Branch.TrueCount);
-    Hash = fnv1a(Hash, Branch.FalseCount);
+    Hash = fnv1a(static_cast<uint64_t>(Id), Hash);
+    Hash = fnv1a(Branch.TrueCount, Hash);
+    Hash = fnv1a(Branch.FalseCount, Hash);
   }
 
   Ids.clear();
@@ -89,17 +70,17 @@ uint64_t TrialCache::profileFingerprint(const profile::ProfileTable &Profiles,
   std::sort(Ids.begin(), Ids.end());
   for (unsigned Id : Ids) {
     const profile::ReceiverProfile &RP = MP->Receivers.at(Id);
-    Hash = fnv1a(Hash, static_cast<uint64_t>(Id));
+    Hash = fnv1a(static_cast<uint64_t>(Id), Hash);
     for (const auto &[ClassId, Count] : RP.Counts) { // Ordered map.
-      Hash = fnv1a(Hash, static_cast<uint64_t>(ClassId + 1));
-      Hash = fnv1a(Hash, Count);
+      Hash = fnv1a(static_cast<uint64_t>(ClassId + 1), Hash);
+      Hash = fnv1a(Count, Hash);
     }
   }
   return Hash;
 }
 
 uint64_t TrialCache::configFingerprint(uint64_t TrialVisitBudget) {
-  return fnv1a(FnvOffset, TrialVisitBudget);
+  return fnv1a(TrialVisitBudget, FnvOffsetBasis);
 }
 
 //===----------------------------------------------------------------------===//
@@ -176,13 +157,4 @@ jit::CompileCacheStats TrialCache::cacheStats() const {
       EpochInvalidations.load(std::memory_order_relaxed);
   Stats.SavedNanos = SavedNanos.load(std::memory_order_relaxed);
   return Stats;
-}
-
-void TrialCache::absorbStats(const jit::CompileCacheStats &Other) {
-  Hits.fetch_add(Other.Hits, std::memory_order_relaxed);
-  Misses.fetch_add(Other.Misses, std::memory_order_relaxed);
-  Evictions.fetch_add(Other.Evictions, std::memory_order_relaxed);
-  EpochInvalidations.fetch_add(Other.EpochInvalidations,
-                               std::memory_order_relaxed);
-  SavedNanos.fetch_add(Other.SavedNanos, std::memory_order_relaxed);
 }

@@ -134,10 +134,6 @@ public:
     SavedNanos.fetch_add(Nanos, std::memory_order_relaxed);
   }
 
-  /// Folds another cache's lifetime counters into this one — used to
-  /// aggregate per-compile cache instances into a compiler-lifetime view.
-  void absorbStats(const jit::CompileCacheStats &Other);
-
   size_t size() const;
   size_t capacity() const { return Capacity; }
 

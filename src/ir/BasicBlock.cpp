@@ -35,6 +35,8 @@ Instruction *BasicBlock::append(std::unique_ptr<Instruction> Inst) {
   assert(!hasTerminator() && "appending after a terminator");
   Instruction *Raw = Inst.get();
   Raw->setParent(this);
+  if (!Raw->InstId)
+    Raw->InstId = Parent->takeNextInstId();
   Insts.push_back(std::move(Inst));
   if (Raw->isTerminator())
     for (BasicBlock *Succ : successorsOf(Raw))
@@ -48,6 +50,8 @@ Instruction *BasicBlock::insertAt(size_t Index,
   assert(!Inst->isTerminator() && "terminators must be appended");
   Instruction *Raw = Inst.get();
   Raw->setParent(this);
+  if (!Raw->InstId)
+    Raw->InstId = Parent->takeNextInstId();
   Insts.insert(Insts.begin() + static_cast<long>(Index), std::move(Inst));
   return Raw;
 }

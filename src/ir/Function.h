@@ -98,6 +98,9 @@ public:
   /// ids while new instructions still get fresh ones).
   void reserveProfileIdsUpTo(unsigned Watermark);
 
+  /// Fresh Instruction::instId(); called by BasicBlock on first insertion.
+  unsigned takeNextInstId() { return ++NextInstId; }
+
   /// Blocks in reverse post order from the entry (every reachable block).
   std::vector<BasicBlock *> reversePostOrder() const;
 
@@ -129,6 +132,7 @@ private:
 
   std::optional<OsrAnchor> Anchor;
   unsigned NextProfileId = 0;
+  unsigned NextInstId = 0;
   unsigned NextBlockId = 0;
   uint64_t UniqueId;
   uint64_t CFGEpoch = 0;

@@ -47,6 +47,13 @@ public:
   unsigned profileId() const { return ProfileId; }
   void setProfileId(unsigned Id) { ProfileId = Id; }
 
+  /// Identity within the parent function, assigned when the instruction
+  /// first joins a block and kept across moves between blocks. Unlike the
+  /// instruction's address, which a later allocation can take over once it
+  /// is erased, an id is never reused within its function. 0 until
+  /// inserted. Never printed, hashed or used to order anything.
+  unsigned instId() const { return InstId; }
+
   size_t numOperands() const { return Operands.size(); }
   Value *operand(size_t I) const {
     assert(I < Operands.size() && "operand index out of range");
@@ -90,10 +97,16 @@ protected:
   void removeOperand(size_t I);
 
 private:
+  friend class BasicBlock; // Assigns InstId.
+
   BasicBlock *Parent = nullptr;
   unsigned ProfileId = 0;
+  unsigned InstId = 0;
   std::vector<Value *> Operands;
 };
+
+// InstId sits in what was padding after ProfileId.
+static_assert(sizeof(Instruction) == 88, "Instruction grew");
 
 //===----------------------------------------------------------------------===//
 // Phi

@@ -8,29 +8,10 @@
 
 #include "ir/IRPrinter.h"
 #include "support/ErrorHandling.h"
+#include "support/Hash.h"
 
 using namespace incline;
 using namespace incline::ir;
-
-namespace {
-
-uint64_t fnv1a(uint64_t Hash, std::string_view Data) {
-  for (unsigned char C : Data) {
-    Hash ^= C;
-    Hash *= 1099511628211ull;
-  }
-  return Hash;
-}
-
-uint64_t fnv1a(uint64_t Hash, uint64_t Value) {
-  for (int I = 0; I < 8; ++I) {
-    Hash ^= (Value >> (I * 8)) & 0xff;
-    Hash *= 1099511628211ull;
-  }
-  return Hash;
-}
-
-} // namespace
 
 Function *Module::addFunction(std::string Name,
                               std::vector<types::Type> ParamTypes,
@@ -66,17 +47,17 @@ uint64_t Module::contentFingerprint() const {
   // programmatically built modules — the frontend seeds its modules with a
   // source-text digest (seedContentFingerprint), which is equivalent (the
   // frontend is deterministic) and avoids printing the module at all.
-  uint64_t Hash = fnv1a(14695981039346656037ull, printModule(*this));
+  uint64_t Hash = fnv1a(printModule(*this), FnvOffsetBasis);
   for (size_t Id = 0; Id < Classes.numClasses(); ++Id) {
     const types::ClassInfo &Info = Classes.classInfo(static_cast<int>(Id));
-    Hash = fnv1a(Hash, Info.Name);
-    Hash = fnv1a(Hash, static_cast<uint64_t>(Info.SuperId + 1));
+    Hash = fnv1a(Info.Name, Hash);
+    Hash = fnv1a(static_cast<uint64_t>(Info.SuperId + 1), Hash);
     for (const types::FieldInfo &Field : Info.Fields) {
-      Hash = fnv1a(Hash, Field.Name);
-      Hash = fnv1a(Hash, typeToString(Field.Ty));
+      Hash = fnv1a(Field.Name, Hash);
+      Hash = fnv1a(typeToString(Field.Ty), Hash);
     }
     for (const types::MethodInfo &Method : Info.Methods)
-      Hash = fnv1a(Hash, Method.QualifiedName);
+      Hash = fnv1a(Method.QualifiedName, Hash);
   }
   if (Hash == 0)
     Hash = 1; // Reserve 0 as "not yet computed".

@@ -46,10 +46,6 @@
 #include <string_view>
 #include <vector>
 
-namespace incline::opt {
-class ModuleReachability;
-}
-
 namespace incline::jit {
 
 /// One unit of background compilation work.
@@ -84,10 +80,6 @@ struct CompileTask {
   /// copied per task because the pool never sees the runtime's config. Must
   /// be a pure function, so sharing it across threads is safe.
   std::function<bool(std::string_view, unsigned)> ForceColdBranch;
-  /// Module reachability shared with the compile (null = no tree shaking).
-  /// Immutable after compute, so workers read it lock-free; the shared_ptr
-  /// keeps it alive across the runtime's lifetime transitions.
-  std::shared_ptr<const opt::ModuleReachability> Reachable;
   /// Supervision token for this compile (budgets + cooperative cancel);
   /// shared so the mutator can cancel while the worker charges. Null when
   /// the runtime is configured unsupervised.

@@ -98,7 +98,6 @@ void CompileWorkerPool::workerLoop() {
     WorkerCtx.Blacklist = &Outcome.Task.BlacklistSnapshot;
     WorkerCtx.PruneBlacklist = &Outcome.Task.PruneBlacklistSnapshot;
     WorkerCtx.ForceColdBranch = Outcome.Task.ForceColdBranch;
-    WorkerCtx.Reachable = Outcome.Task.Reachable.get();
     WorkerCtx.Cancel = Outcome.Task.Cancel.get();
     WorkerCtx.DegradeRung = Outcome.Task.Rung;
 

@@ -11,8 +11,8 @@
 #include "ir/IRVerifier.h"
 #include "jit/CompileQueue.h"
 #include "jit/CompileWorkerPool.h"
-#include "opt/ModuleReachability.h"
 #include "support/ErrorHandling.h"
+#include "support/Hash.h"
 #include "support/StringUtils.h"
 
 #include <chrono>
@@ -65,15 +65,6 @@ private:
   uint64_t &Sink;
   std::chrono::steady_clock::time_point Start;
 };
-
-uint64_t fnv1a(std::string_view Data) {
-  uint64_t Hash = 1469598103934665603ull;
-  for (unsigned char C : Data) {
-    Hash ^= C;
-    Hash *= 1099511628211ull;
-  }
-  return Hash;
-}
 
 } // namespace
 
@@ -290,41 +281,8 @@ void JitRuntime::maybeRequestUpgrade(std::string_view Symbol,
   requestCompile(Symbol, State, static_cast<int>(State.Rung) - 1);
 }
 
-std::shared_ptr<const opt::ModuleReachability>
-JitRuntime::ensureReachability() {
-  if (!Config.TreeShake)
-    return nullptr;
-  if (!Reachability) {
-    // Computed exactly once, at the first compile request: the module is
-    // immutable at runtime, so the CHA skeleton never changes, and the
-    // profile assist only *adds* live classes the static analysis already
-    // had to assume conservatively — later profiles cannot invalidate the
-    // set. First-request timing is also mode-independent (Sync and
-    // Deterministic reach it at the same threshold crossing with the same
-    // profiles), preserving the bit-identity contract.
-    std::vector<std::string> Roots = Config.TreeShakeRoots;
-    if (Roots.empty())
-      Roots.emplace_back("main");
-    Reachability = std::make_shared<const opt::ModuleReachability>(
-        opt::ModuleReachability::compute(M, Roots, &Profiles));
-    Stats.MethodsShaken = Reachability->numShaken();
-  }
-  return Reachability;
-}
-
 void JitRuntime::requestCompile(std::string_view Symbol, MethodState &State,
                                 int UpgradeToRung) {
-  // Tree shaking: a method the analysis proved dead cannot legitimately be
-  // hot — if it runs anyway the configured roots were understated, and the
-  // safe answer is the interpreter. Skip the whole pipeline and stop
-  // asking, without a blacklist strike (this is a resource decision, not a
-  // compile failure).
-  if (std::shared_ptr<const opt::ModuleReachability> R = ensureReachability())
-    if (!R->isReachable(Symbol)) {
-      ++Stats.ShakenCompileSkips;
-      State.DoNotCompile = true;
-      return;
-    }
   const bool Upgrade = UpgradeToRung >= 0;
   const unsigned Rung =
       Upgrade ? static_cast<unsigned>(UpgradeToRung) : State.Rung;
@@ -353,7 +311,6 @@ void JitRuntime::requestCompile(std::string_view Symbol, MethodState &State,
   Task.BlacklistSnapshot = Blacklist;
   Task.PruneBlacklistSnapshot = PruneBlacklist;
   Task.ForceColdBranch = Config.ForceColdBranch;
-  Task.Reachable = ensureReachability();
 
   CompileQueue::Outcome Enq = Queue->tryEnqueue(std::move(Task));
   if (Enq != CompileQueue::Outcome::Enqueued) {
@@ -452,7 +409,6 @@ void JitRuntime::requestOsrCompile(std::string_view Symbol,
   Task.BlacklistSnapshot = Blacklist;
   Task.PruneBlacklistSnapshot = PruneBlacklist;
   Task.ForceColdBranch = Config.ForceColdBranch;
-  Task.Reachable = ensureReachability();
 
   CompileQueue::Outcome Enq = Queue->tryEnqueue(std::move(Task));
   if (Enq != CompileQueue::Outcome::Enqueued) {
@@ -503,14 +459,11 @@ void JitRuntime::compileOnMutator(const CompileTask &TaskShape) {
   }
 
   // Mutator compiles read the live blacklists — at this point they equal
-  // any snapshot a deterministic-mode enqueue would have taken here. The
-  // member shared_ptr keeps the reachability object alive past the
-  // temporary returned here.
+  // any snapshot a deterministic-mode enqueue would have taken here.
   opt::PassContext Ctx = TheCompiler.passContext();
   Ctx.Blacklist = &Blacklist;
   Ctx.PruneBlacklist = &PruneBlacklist;
   Ctx.ForceColdBranch = Config.ForceColdBranch;
-  Ctx.Reachable = ensureReachability().get();
   Ctx.Cancel = TaskShape.Cancel.get();
   Ctx.DegradeRung = TaskShape.Rung;
   try {
@@ -656,7 +609,8 @@ void JitRuntime::publishOutcome(CompileOutcome &&Outcome) {
   Record.Stats.CodeSize = Outcome.Code->instructionCount();
   Record.CompileIndex = Compilations.size();
   Record.Attempt = State.FailedAttempts + 1;
-  Record.IRFingerprint = fnv1a(ir::printFunction(*Outcome.Code));
+  Record.IRFingerprint =
+      fnv1a(ir::printFunction(*Outcome.Code), FnvShortBasis);
   Record.Rung = Outcome.Task.Rung;
 
   // Install through the budgeted code cache. The record joins the compile

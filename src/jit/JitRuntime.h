@@ -56,10 +56,6 @@
 #include <utility>
 #include <vector>
 
-namespace incline::opt {
-class ModuleReachability;
-}
-
 namespace incline::jit {
 
 class CompileQueue;
@@ -183,9 +179,9 @@ struct JitConfig {
   /// stage asserts exactly that.
   std::function<bool(std::string_view, unsigned)> ForceDeadlineExpiry;
 
-  // Minimal-slice compilation (DESIGN.md §15). The compile-side thresholds
+  // Cold-branch pruning (DESIGN.md §15). The compile-side thresholds
   // (--cold-prune) live in the inliner's config; the runtime owns the trap
-  // recovery, the per-(method, block) prune blacklist, and tree shaking.
+  // recovery and the per-(method, block) prune blacklist.
 
   /// Chaos hook: when set, the pruning pass prunes the colder side of the
   /// branch at (method, branch profileId) whenever this returns true —
@@ -195,16 +191,6 @@ struct JitConfig {
   /// which is what the prune-chaos oracle stage asserts. Must be pure
   /// (compile workers call it concurrently).
   std::function<bool(std::string_view, unsigned)> ForceColdBranch;
-  /// Whole-module tree shaking: compute CHA/profile-assisted reachability
-  /// from the roots below once, share it with every compilation, and skip
-  /// compile requests for proven-dead methods. Off by default — `TreeShake
-  /// = false` leaves every observable bit-identical to the pre-feature
-  /// runtime.
-  bool TreeShake = false;
-  /// Reachability roots (entry points the host may call directly). Empty
-  /// means the single root "main". The harness lists its handler symbols
-  /// here; anything *not* rooted and not reachable stays interpreted.
-  std::vector<std::string> TreeShakeRoots;
 };
 
 /// One installed compilation.
@@ -270,13 +256,11 @@ struct JitRuntimeStats {
   uint64_t LadderUpgrades = 0;        ///< ... of which installed.
   uint64_t LadderInterpreterOnly = 0; ///< Anchors that hit the bottom rung.
 
-  // Minimal-slice compilation (DESIGN.md §15). All zero while cold-branch
-  // pruning and tree shaking are off and no prune is forced.
+  // Cold-branch pruning (DESIGN.md §15). All zero while pruning is off and
+  // no prune is forced.
   uint64_t BranchesPruned = 0;    ///< Uncommon traps in installed code.
   uint64_t ColdBranchDeopts = 0;  ///< Pruned branches actually taken.
   uint64_t PrunesBlacklisted = 0; ///< (method, block) prunes retired.
-  uint64_t MethodsShaken = 0;     ///< Module methods proven unreachable.
-  uint64_t ShakenCompileSkips = 0; ///< Compile requests skipped as dead.
 };
 
 /// The tiered runtime. Implements the interpreter's ExecutionEnv: hotness
@@ -358,13 +342,6 @@ public:
   /// those branches intact.
   const opt::SpeculationBlacklist &pruneBlacklist() const {
     return PruneBlacklist;
-  }
-
-  /// The tree-shaking reachability analysis, computed lazily at the first
-  /// compile request (the module is immutable at runtime, so it never goes
-  /// stale). Null while Config.TreeShake is off or nothing compiled yet.
-  const opt::ModuleReachability *reachability() const {
-    return Reachability.get();
   }
 
   /// The installed OSR variant for (\p Method, baseline header block
@@ -493,10 +470,6 @@ private:
   /// Backedge-credit plan for \p Symbol's baseline, computed on first use.
   /// The module is immutable at runtime, so the plan never goes stale.
   const opt::OsrPlan &osrPlanFor(std::string_view Symbol);
-  /// Computes (once) and returns the tree-shaking reachability analysis;
-  /// null while Config.TreeShake is off. Mutator-only — workers receive the
-  /// result through their task's shared_ptr, never call this.
-  std::shared_ptr<const opt::ModuleReachability> ensureReachability();
   /// Retires \p Symbol's installed code (graveyard, epoch bump) and
   /// requests a recompile. Mutator-only; called from onDeopt, which runs at
   /// the deoptimization point — a safepoint by definition (the interpreter
@@ -560,10 +533,6 @@ private:
   /// the profile lied about the branch, and unlike a speculation guard the
   /// branch costs nothing to keep.
   opt::SpeculationBlacklist PruneBlacklist;
-  /// Tree-shaking reachability, computed once at the first compile request
-  /// and shared by-const-pointer with every compilation (workers hold the
-  /// shared_ptr through their task). Null while Config.TreeShake is off.
-  std::shared_ptr<const opt::ModuleReachability> Reachability;
 
   /// Background machinery (Async/Deterministic only). Queue is declared
   /// before Pool so the pool (which references the queue from its worker

@@ -50,7 +50,6 @@ class CancellationToken;
 
 namespace incline::opt {
 
-class ModuleReachability;
 class SpeculationBlacklist;
 
 /// Called after each individual pass with the pass's name and the function
@@ -138,10 +137,6 @@ struct PassContext {
   /// method decide identically. See opt/ColdBranchPruning.h.
   std::function<bool(std::string_view Method, unsigned BranchProfileId)>
       ForceColdBranch;
-  /// Reachable-method set for tree shaking (null = shake nothing). Owned by
-  /// the JIT runtime; immutable after construction, so workers share it
-  /// by-const-pointer. See opt/ModuleReachability.h.
-  const ModuleReachability *Reachable = nullptr;
   /// The compilation's budget/cancel token (DESIGN.md §14). When set, every
   /// pass execution checkpoints before running (throwing DeadlineExceeded /
   /// ResourceExhausted out of the compile) and charges deterministic work

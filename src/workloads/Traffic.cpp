@@ -7,6 +7,7 @@
 #include "workloads/Traffic.h"
 
 #include "frontend/Compiler.h"
+#include "support/Hash.h"
 #include "support/StringUtils.h"
 
 #include <algorithm>
@@ -26,14 +27,6 @@ uint64_t mix(uint64_t Seed, uint64_t N) {
   Z = (Z ^ (Z >> 30)) * 0xbf58476d1ce4e5b9ull;
   Z = (Z ^ (Z >> 27)) * 0x94d049bb133111ebull;
   return Z ^ (Z >> 31);
-}
-
-uint64_t fnv1aAppend(uint64_t Hash, std::string_view Data) {
-  for (unsigned char C : Data) {
-    Hash ^= C;
-    Hash *= 1099511628211ull;
-  }
-  return Hash;
 }
 
 } // namespace
@@ -176,7 +169,7 @@ TrafficResult incline::workloads::runTraffic(jit::Compiler &Compiler,
   std::iota(Pool.begin(), Pool.end(), 0u);
   unsigned NextFresh = Config.Tenants;
 
-  uint64_t Digest = 1469598103934665603ull;
+  uint64_t Digest = FnvShortBasis;
   uint64_t Draws = 0;
   auto Draw = [&] { return mix(Config.Seed, ++Draws); };
 
@@ -224,8 +217,8 @@ TrafficResult incline::workloads::runTraffic(jit::Compiler &Compiler,
     Result.LatencyCycles.push_back(Latency);
     Result.TotalCycles += Latency;
 
-    Digest = fnv1aAppend(Digest, Symbol);
-    Digest = fnv1aAppend(Digest, R.Output);
+    Digest = fnv1a(Symbol, Digest);
+    Digest = fnv1a(R.Output, Digest);
   }
 
   Result.Requests = Config.Requests;

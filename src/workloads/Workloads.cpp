@@ -8,6 +8,8 @@
 
 #include "workloads/WorkloadsInternal.h"
 
+#include <ostream>
+
 using namespace incline::workloads;
 
 const std::vector<Workload> &incline::workloads::allWorkloads() {
@@ -28,4 +30,8 @@ const Workload *incline::workloads::findWorkload(const std::string &Name) {
     if (W.Name == Name)
       return &W;
   return nullptr;
+}
+
+void incline::workloads::PrintTo(const Workload &W, std::ostream *OS) {
+  *OS << W.Name;
 }

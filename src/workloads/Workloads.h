@@ -18,6 +18,7 @@
 #ifndef INCLINE_WORKLOADS_WORKLOADS_H
 #define INCLINE_WORKLOADS_WORKLOADS_H
 
+#include <iosfwd>
 #include <string>
 #include <vector>
 
@@ -37,6 +38,11 @@ const std::vector<Workload> &allWorkloads();
 
 /// Lookup by name; null when unknown.
 const Workload *findWorkload(const std::string &Name);
+
+/// Prints a workload as its name. GoogleTest calls this for parameterized
+/// test names; without it gtest prints the struct's raw bytes, heap
+/// pointers included, and the test IDs change on every build.
+void PrintTo(const Workload &W, std::ostream *OS);
 
 } // namespace incline::workloads
 

@@ -6,6 +6,7 @@
 
 #include "support/Cancellation.h"
 #include "support/Casting.h"
+#include "support/Hash.h"
 #include "support/Random.h"
 #include "support/Statistics.h"
 #include "support/StringUtils.h"
@@ -104,6 +105,21 @@ TEST(RandomTest, WeightedSelectionIsRoughlyProportional) {
   for (int I = 0; I < 4000; ++I)
     ++Counts[Rng.nextWeighted(Weights)];
   EXPECT_NEAR(static_cast<double>(Counts[1]) / Counts[0], 3.0, 0.5);
+}
+
+//===----------------------------------------------------------------------===//
+// Hash
+//===----------------------------------------------------------------------===//
+
+// Both seeds feed recorded output (trial-cache keys and module fingerprints
+// use the standard basis; stream fingerprints, traffic digests and chaos
+// schedules the short one), so their values are pinned.
+TEST(HashTest, FnvSeedsArePinned) {
+  EXPECT_EQ(fnv1a("a", FnvOffsetBasis), 0xaf63dc4c8601ec8cull);
+  EXPECT_EQ(fnv1a("incline", FnvOffsetBasis), 0x7460171cdef9a695ull);
+  EXPECT_EQ(fnv1a("incline", FnvShortBasis), 0xb260c0fedd0ab573ull);
+  EXPECT_EQ(fnv1a(uint64_t{42}, FnvOffsetBasis), 0xff3add6b3789daefull);
+  EXPECT_EQ(fnv1a(uint64_t{42}, FnvShortBasis), 0xe13798d64f1352c9ull);
 }
 
 //===----------------------------------------------------------------------===//

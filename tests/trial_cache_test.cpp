@@ -15,8 +15,7 @@
 ///    "TrialCache" so the TSan CI job's -R filter picks them up);
 ///  * end to end: shared-mode hits across JitRuntime instances are
 ///    bit-identical to cache-off compilation (output, deterministic stream
-///    fingerprint), per-compile stats aggregate into the compiler's view,
-///    deopt-driven invalidation bumps the epoch counter, and
+///    fingerprint), deopt-driven invalidation bumps the epoch counter, and
 ///    --verify-trial-cache's recompute-on-hit accepts a healthy cache.
 ///
 //===----------------------------------------------------------------------===//
@@ -326,34 +325,6 @@ TEST(TrialCacheEndToEndTest, SharedCacheServesConcurrentCompileWorkers) {
   }
   ASSERT_NE(SharedCompiler.compileCache(), nullptr);
   EXPECT_GT(SharedCompiler.compileCache()->cacheStats().Hits, 0u);
-}
-
-TEST(TrialCacheEndToEndTest, PerCompileStatsAggregateIntoCompilerView) {
-  const workloads::Workload &W = workloads::allWorkloads().front();
-  inliner::InlinerConfig Config;
-  Config.TrialCache = inliner::TrialCacheMode::PerCompile;
-  inliner::IncrementalCompiler Compiler(Config);
-  ASSERT_NE(Compiler.compileCache(), nullptr);
-
-  workloads::RunResult Result = runShared(W, Compiler, 1);
-  ASSERT_TRUE(Result.Ok) << Result.Error;
-
-  // Each compilation used its own throwaway cache; their counters were
-  // folded into the compiler's aggregate, and they match the per-record
-  // CompileStats the runtime captured.
-  jit::CompileCacheStats Stats = Compiler.compileCache()->cacheStats();
-  uint64_t RecordHits = 0, RecordMisses = 0;
-  for (const jit::CompilationRecord &Record : Result.Compilations) {
-    RecordHits += Record.Stats.TrialCacheHits;
-    RecordMisses += Record.Stats.TrialCacheMisses;
-  }
-  EXPECT_GT(Stats.Misses, 0u);
-  EXPECT_EQ(Stats.Hits, RecordHits);
-  EXPECT_EQ(Stats.Misses, RecordMisses);
-  // The aggregate is stats-only: no entries leak across compilations.
-  EXPECT_EQ(static_cast<inliner::TrialCache *>(Compiler.compileCache())
-                ->size(),
-            0u);
 }
 
 // 95% of dispatches hit A while the interpreter profiles, so the compile

@@ -102,6 +102,21 @@ INSTANTIATE_TEST_SUITE_P(
       return Name;
     });
 
+// pmd under shallow trials (fig9's shallow-trials variant) once aborted:
+// the call tree matched a root child to its callsite by address, and a
+// call that replaced an erased virtual call at the same address kept the
+// stale polymorphic child alive.
+TEST(WorkloadRegressionTest, PmdShallowTrialsMatchesJitOff) {
+  const Workload *W = findWorkload("pmd");
+  ASSERT_NE(W, nullptr);
+  inliner::InlinerConfig Config;
+  Config.DeepTrials = false;
+  inliner::IncrementalCompiler Compiler(Config);
+  RunResult Result = runWorkload(*W, Compiler);
+  ASSERT_TRUE(Result.Ok) << Result.Error;
+  EXPECT_EQ(Result.Output, interpretedOutput(*W));
+}
+
 TEST(WorkloadRegistryTest, SuiteIsComplete) {
   // The DESIGN.md inventory: 6 dacapo + 4 scala-dacapo + 3 spark +
   // 3 other = 16 workloads.
@@ -109,6 +124,13 @@ TEST(WorkloadRegistryTest, SuiteIsComplete) {
   EXPECT_NE(findWorkload("foreach"), nullptr);
   EXPECT_NE(findWorkload("gauss-mix"), nullptr);
   EXPECT_EQ(findWorkload("nope"), nullptr);
+}
+
+// The parameterized tests' IDs end in `# GetParam() = <printed workload>`,
+// so the printed form must be the name alone: stable across builds.
+TEST(WorkloadRegistryTest, PrintsAsItsName) {
+  for (const Workload &W : allWorkloads())
+    EXPECT_EQ(::testing::PrintToString(W), W.Name);
 }
 
 TEST(WorkloadRegistryTest, NamesAreUnique) {

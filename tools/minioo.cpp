@@ -64,7 +64,6 @@ struct Options {
   uint64_t CompileDeadlineMs = 0; ///< Wall ms per compile; 0 = off.
   bool DegradeLadder = true;    ///< --degrade-ladder=off|on.
   double ColdPrune = -1.0;      ///< --cold-prune=off|P; negative = off.
-  bool TreeShake = false;       ///< --tree-shake=off|on.
   bool InterpFast = true;       ///< --interp=fast|reference.
   std::string Function;
   uint64_t Threshold = 50;
@@ -83,12 +82,12 @@ int usage() {
       "                    [--jit-mode=sync|async|deterministic]\n"
       "                    [--jit-threads=N]\n"
       "                    [--jit-osr=off|on] [--osr-threshold=N]\n"
-      "                    [--trial-cache=off|per-compile|shared]\n"
+      "                    [--trial-cache=off|shared]\n"
       "                    [--code-cache-budget=N] [--profile-decay=off|N]\n"
       "                    [--compile-deadline=off|N]\n"
       "                    [--compile-deadline-ms=N]\n"
       "                    [--degrade-ladder=off|on]\n"
-      "                    [--cold-prune=off|P] [--tree-shake=off|on]\n"
+      "                    [--cold-prune=off|P]\n"
       "                    [--interp=fast|reference]\n"
       "                    [--threshold=N] [--iterations=N] [--stats]\n"
       "  minioo dump <file> [--function=NAME] [--optimize]\n"
@@ -157,7 +156,7 @@ std::optional<Options> parseArgs(int argc, char **argv) {
     } else if (auto V = ValueOf("--jit-mode=")) {
       Opts.JitMode = *V;
     } else if (auto V = ValueOf("--trial-cache=")) {
-      if (*V != "off" && *V != "per-compile" && *V != "shared") {
+      if (*V != "off" && *V != "shared") {
         std::fprintf(stderr, "invalid --trial-cache value '%s'\n",
                      V->c_str());
         return std::nullopt;
@@ -236,12 +235,6 @@ std::optional<Options> parseArgs(int argc, char **argv) {
         }
         Opts.ColdPrune = *P;
       }
-    } else if (auto V = ValueOf("--tree-shake=")) {
-      if (*V != "off" && *V != "on") {
-        std::fprintf(stderr, "invalid --tree-shake value '%s'\n", V->c_str());
-        return std::nullopt;
-      }
-      Opts.TreeShake = *V == "on";
     } else if (auto V = ValueOf("--interp=")) {
       if (*V != "fast" && *V != "reference") {
         std::fprintf(stderr, "invalid --interp value '%s'\n", V->c_str());
@@ -299,9 +292,7 @@ std::unique_ptr<jit::Compiler> makeCompiler(const std::string &Name,
                                             double ColdPrune = -1.0) {
   if (Name == "incremental" || Name == "off") {
     inliner::InlinerConfig Config;
-    if (TrialCache == "per-compile")
-      Config.TrialCache = inliner::TrialCacheMode::PerCompile;
-    else if (TrialCache == "shared")
+    if (TrialCache == "shared")
       Config.TrialCache = inliner::TrialCacheMode::Shared;
     if (ColdPrune >= 0.0) {
       Config.EnableColdBranchPruning = true;
@@ -342,7 +333,6 @@ int cmdRun(const Options &Opts, ir::Module &M) {
   Config.CompileDeadlineUnits = Opts.CompileDeadline;
   Config.CompileDeadlineMs = Opts.CompileDeadlineMs;
   Config.DegradeLadder = Opts.DegradeLadder;
-  Config.TreeShake = Opts.TreeShake;
   Config.Interp.Mode = Opts.InterpFast ? interp::InterpMode::Fast
                                        : interp::InterpMode::Reference;
   jit::JitRuntime Runtime(M, *Compiler, Config);
@@ -437,19 +427,17 @@ int cmdRun(const Options &Opts, ir::Module &M) {
                  static_cast<unsigned long long>(CC.PeakLiveBytes),
                  static_cast<unsigned long long>(CC.Budget),
                  static_cast<unsigned long long>(CC.DecayTicks));
-    // Minimal-slice accounting: the live baseline module vs what actually
-    // landed in the code cache, plus what pruning and tree shaking removed
-    // from the compilers' view.
+    // Code-size accounting: the live baseline module vs what actually
+    // landed in the code cache, plus the branches pruning removed.
     uint64_t ModuleIr = 0;
     for (const auto &[Name, F] : M.functions())
       ModuleIr += F->instructionCount();
     std::fprintf(stderr,
                  "codesize: module-ir=%llu installed=%llu "
-                 "pruned-branches=%llu shaken-methods=%llu\n",
+                 "pruned-branches=%llu\n",
                  static_cast<unsigned long long>(ModuleIr),
                  static_cast<unsigned long long>(Runtime.installedCodeSize()),
-                 static_cast<unsigned long long>(S.BranchesPruned),
-                 static_cast<unsigned long long>(S.MethodsShaken));
+                 static_cast<unsigned long long>(S.BranchesPruned));
     if (const jit::CompileCache *Cache = Compiler->compileCache()) {
       jit::CompileCacheStats CS = Cache->cacheStats();
       std::fprintf(stderr,
