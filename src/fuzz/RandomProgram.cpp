@@ -103,8 +103,12 @@ private:
     if (Depth <= 0 || Rng.nextBool(0.3))
       return Rng.nextBool() ? "true" : "false";
     const char *Cmp[] = {"<", "<=", ">", ">=", "==", "!="};
-    return "(" + intExpr(Depth - 1) + " " + Cmp[Rng.nextBelow(6)] + " " +
-           intExpr(Depth - 1) + ")";
+    // `"(" + std::string&&` trips a GCC 12 -Wrestrict false positive in
+    // optimized builds; appending to a named string does not.
+    std::string E = "(";
+    E += intExpr(Depth - 1) + " " + Cmp[Rng.nextBelow(6)] + " " +
+         intExpr(Depth - 1) + ")";
+    return E;
   }
 
   bool intVarsAvailable() const {
@@ -220,7 +224,11 @@ private:
       statement(Depth, Indent);
   }
 
-  std::string freshVar() { return "v" + std::to_string(NextVar++); }
+  std::string freshVar() {
+    std::string Name = "v"; // Appended, as in boolExpr (-Wrestrict).
+    Name += std::to_string(NextVar++);
+    return Name;
+  }
 
   /// Applies the size budget to a drawn statement count. At the default
   /// 100% this is the identity, keeping default-shape programs bit-for-bit

@@ -548,8 +548,8 @@ bool CallTree::expandCutoff(CallNode &N) {
         N.CachedBody =
             std::shared_ptr<ir::Function>(Result, Result->Body.get());
         Cache->insert(Key, std::move(Result));
-        ++TrialMisses;
       }
+      ++TrialMisses; // Computed from scratch, cache on or off.
     }
   }
   TrialNanosTotal += ElapsedNanos();

@@ -38,7 +38,8 @@ struct InlinerResult {
   uint64_t NodesExplored = 0;
   uint64_t OptsTriggered = 0; ///< Canonicalizer rewrites in root + trials.
   uint64_t TrialCacheHits = 0;   ///< Deep trials served from the cache.
-  uint64_t TrialCacheMisses = 0; ///< Deep trials computed and cached.
+  uint64_t TrialCacheMisses = 0; ///< Deep trials computed from scratch
+                                 ///< (cache on or off).
   uint64_t TrialNanos = 0;       ///< Wall time in the deep-trial section.
   uint64_t TrialNanosSaved = 0;  ///< Trial wall time skipped via the cache.
 };

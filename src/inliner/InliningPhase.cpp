@@ -8,7 +8,6 @@
 
 #include "opt/InlineIR.h"
 #include "support/Casting.h"
-#include "support/ErrorHandling.h"
 #include "types/ClassHierarchy.h"
 
 #include <algorithm>
@@ -40,19 +39,6 @@ bool incline::inliner::canInlineCluster(const InlinerConfig &Config,
 }
 
 namespace {
-
-/// Detaches \p Child (one of \p Parent's children) and returns ownership.
-std::unique_ptr<CallNode> detachChild(CallNode &Parent, CallNode *Child) {
-  for (auto It = Parent.Children.begin(); It != Parent.Children.end();
-       ++It) {
-    if (It->get() != Child)
-      continue;
-    std::unique_ptr<CallNode> Owned = std::move(*It);
-    Parent.Children.erase(It);
-    return Owned;
-  }
-  incline_unreachable("child not found in parent");
-}
 
 class Inliner {
 public:

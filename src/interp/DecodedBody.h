@@ -34,9 +34,12 @@
 ///    compares (table pointer, epoch) and flushes all caches on mismatch.
 ///
 /// Lifetime: a `DecodedCache` keys bodies by `Function::uniqueId()`, which
-/// is process-unique and never reused — and the runtime's code-cache
-/// graveyard keeps every retired `ir::Function` alive until runtime
-/// destruction, so a cached body can never dangle mid-run. Decoded tables
+/// is process-unique and never reused, so an erased key can never alias a
+/// later function. The runtime's code-cache graveyard keeps every retired
+/// `ir::Function` alive until the outermost `JitRuntime::run()` returns —
+/// no interpreter frame outlives that call — and only then frees the
+/// function and `erase()`s its decoded body together, so a cached body can
+/// never dangle mid-run. Decoded tables
 /// bake the cost model's per-op costs, so one cache must only ever serve
 /// one `CostModel` (the runtime always uses the default).
 ///
@@ -224,6 +227,10 @@ public:
   /// The decoded body of \p F, decoding on first touch. \p Costs must be
   /// the same model for every call on one cache (costs are baked in).
   DecodedBody &bodyFor(const ir::Function &F, const CostModel &Costs);
+
+  /// Drops the decoded body of the function with \p UniqueId, if any. The
+  /// caller guarantees no frame still executes it.
+  void erase(uint64_t UniqueId) { Bodies.erase(UniqueId); }
 
   size_t size() const { return Bodies.size(); }
 

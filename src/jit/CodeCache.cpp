@@ -134,14 +134,11 @@ CodeCache::installMethod(std::string_view Symbol,
   if (Stats.Budget != 0 && Size > Stats.Budget) {
     ++Stats.AdmissionRejections;
     Out.Status = InstallStatus::RejectedTooBig;
-    Graveyard.push_back(std::move(Code)); // Nothing references it; parked
-                                          // anyway for uniform ownership.
-    return Out;
+    return Out; // Never ran, so nothing can be executing it: destroyed.
   }
   if (!makeRoom(Size, Out.Evicted)) {
     ++Stats.AdmissionRejections;
     Out.Status = InstallStatus::RejectedPinned;
-    Graveyard.push_back(std::move(Code));
     return Out;
   }
   assert(Stats.Budget == 0 || Stats.LiveBytes + Size <= Stats.Budget);
@@ -175,13 +172,11 @@ CodeCache::installOsr(std::string_view Symbol, unsigned Header,
   if (Stats.Budget != 0 && Size > Stats.Budget) {
     ++Stats.AdmissionRejections;
     Out.Status = InstallStatus::RejectedTooBig;
-    Graveyard.push_back(std::move(Code));
     return Out;
   }
   if (!makeRoom(Size, Out.Evicted)) {
     ++Stats.AdmissionRejections;
     Out.Status = InstallStatus::RejectedPinned;
-    Graveyard.push_back(std::move(Code));
     return Out;
   }
   assert(Stats.Budget == 0 || Stats.LiveBytes + Size <= Stats.Budget);

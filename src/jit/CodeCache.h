@@ -16,9 +16,13 @@
 ///    here, keyed by symbol (methods) or (symbol, baseline header block id)
 ///    (OSR variants). Publication stays write-once: entries are never
 ///    mutated in place, and removal of any kind — deopt invalidation,
-///    budget eviction, forced eviction — *retires* the body to a graveyard
-///    that survives until runtime destruction, because interpreter C++
-///    frames up the stack may still be executing it.
+///    budget eviction, forced eviction — *retires* the body to a graveyard,
+///    because interpreter C++ frames up the stack may still be executing
+///    it. The graveyard lives only until the runtime's outermost `run()`
+///    returns: no interpreter frame outlives that call, so the runtime then
+///    takes the retired bodies back (`takeRetired()`) and frees them with
+///    their decoded tables. A body rejected at install never ran and is
+///    destroyed at once.
 ///
 ///  * **Budget** — when `Budget > 0`, the summed instruction count of all
 ///    installed entries (methods *and* OSR variants) never exceeds it.
@@ -175,6 +179,15 @@ public:
   /// victims in install-sequence order.
   void decayHeat();
 
+  /// Hands every retired body to the caller and empties the graveyard.
+  /// Only safe when no interpreter frame can be executing one of them —
+  /// the runtime calls it when its outermost run() returns.
+  std::vector<std::unique_ptr<ir::Function>> takeRetired() {
+    return std::exchange(Graveyard, {});
+  }
+  /// Retired bodies waiting for takeRetired() (tests).
+  size_t retiredCount() const { return Graveyard.size(); }
+
   /// Monotone counter bumped by every retirement batch (invalidation or
   /// eviction). See JitRuntime::codeEpoch().
   uint64_t epoch() const { return Epoch; }
@@ -211,8 +224,8 @@ private:
   std::map<std::pair<std::string, unsigned>, Entry> OsrVariants;
   std::map<std::string, unsigned, std::less<>> Pins;
 
-  /// Retired code parked until destruction: interpreter frames may still
-  /// be executing these bodies (PR 4's write-once publish contract).
+  /// Retired code parked until takeRetired(): interpreter frames may still
+  /// be executing these bodies (the write-once publish contract).
   std::vector<std::unique_ptr<ir::Function>> Graveyard;
 
   CodeCacheStats Stats;

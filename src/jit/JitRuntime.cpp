@@ -942,9 +942,21 @@ interp::ExecResult JitRuntime::runMain(const interp::ExecLimits &Limits) {
 interp::ExecResult JitRuntime::run(std::string_view Symbol,
                                    const std::vector<interp::RtValue> &Args,
                                    const interp::ExecLimits &Limits) {
-  interp::Interpreter Interp(M, *this, interp::CostModel(), Limits,
-                             Config.Interp, &DecodedBodies);
-  return Interp.run(Symbol, Args);
+  interp::ExecResult Result;
+  ++RunDepth;
+  {
+    interp::Interpreter Interp(M, *this, interp::CostModel(), Limits,
+                               Config.Interp, &DecodedBodies);
+    Result = Interp.run(Symbol, Args);
+  }
+  // The outermost run's interpreter is gone, and with it every frame that
+  // could still be executing retired code: free it with its decoded
+  // tables. A nested run (issued from a hook inside an outer frame) frees
+  // nothing.
+  if (--RunDepth == 0)
+    for (const std::unique_ptr<ir::Function> &F : Code.takeRetired())
+      DecodedBodies.erase(F->uniqueId());
+  return Result;
 }
 
 uint64_t JitRuntime::installedCodeSize() const {

@@ -298,7 +298,8 @@ public:
   /// multi-tenant traffic harness drives thousands of per-request handler
   /// invocations through one runtime this way. Tier state (hotness,
   /// compiled code, profiles) persists across calls exactly as it does for
-  /// runMain; each call gets a fresh heap.
+  /// runMain; each call gets a fresh heap. When the outermost call returns
+  /// (no interpreter frame is left), retired code is freed.
   interp::ExecResult run(std::string_view Symbol,
                          const std::vector<interp::RtValue> &Args = {},
                          const interp::ExecLimits &Limits =
@@ -330,6 +331,8 @@ public:
   /// in-flight compilation would). Production code must go through the
   /// publish/evict paths.
   CodeCache &codeCacheForTest() { return Code; }
+  /// Decoded bodies currently cached (tests check they stay bounded).
+  size_t decodedBodyCount() const { return DecodedBodies.size(); }
 
   /// Speculations the runtime gave up on (failed >= MaxSpeculationFailures
   /// times); recompiles leave these callsites as virtual calls.
@@ -500,9 +503,13 @@ private:
   /// Pre-decoded bodies shared across every run() of this runtime, so a
   /// function is decoded once per lifetime, not once per request. Keyed by
   /// Function::uniqueId(); the code-cache graveyard keeps retired functions
-  /// alive until runtime destruction, so entries never dangle. Mutator-only,
-  /// like all tier state.
+  /// alive until the outermost run() returns — no interpreter frame
+  /// outlives it — and run() then erases their entries as it frees them,
+  /// so entries never dangle. Mutator-only, like all tier state.
   interp::DecodedCache DecodedBodies;
+  /// Nesting depth of run() calls (a chaos hook may issue a nested run()).
+  /// Retired code is released only when the outermost call returns.
+  unsigned RunDepth = 0;
 
   /// Interned backedge counter for the hottest (method, header) pair:
   /// onOsrEdge fires on *every* taken edge of OSR-eligible loops, and the

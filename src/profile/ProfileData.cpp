@@ -130,8 +130,12 @@ std::string ProfileTable::dump() const {
     }
     for (unsigned Id : SortedIds(MP.Receivers)) {
       Out += "  recv " + std::to_string(Id);
-      for (const auto &[ClassId, Count] : MP.Receivers.at(Id).Counts)
-        Out += " " + std::to_string(ClassId) + ":" + std::to_string(Count);
+      for (const auto &[ClassId, Count] : MP.Receivers.at(Id).Counts) {
+        // Appended piecewise: in optimized builds GCC 12's -Wrestrict
+        // misfires on `" " + std::string&&`.
+        Out += ' ';
+        Out += std::to_string(ClassId) + ":" + std::to_string(Count);
+      }
       Out += "\n";
     }
     for (unsigned Id : SortedIds(MP.Backedges))

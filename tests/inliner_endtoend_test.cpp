@@ -74,15 +74,6 @@ CompiledProgram compileWith(jit::Compiler &Compiler, std::string_view Source,
   return P;
 }
 
-size_t countCallsites(const ir::Function &F) {
-  size_t Count = 0;
-  for (const auto &BB : F.blocks())
-    for (const auto &Inst : BB->instructions())
-      if (isa<ir::CallInst, ir::VirtualCallInst>(Inst.get()))
-        ++Count;
-  return Count;
-}
-
 /// Runs `main` with \p Symbol's body replaced by \p Compiled (single-
 /// method code cache) and checks the output matches the reference.
 std::string runWithCompiled(const ir::Module &M, const std::string &Symbol,

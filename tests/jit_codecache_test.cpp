@@ -21,7 +21,10 @@
 ///    PeakLiveBytes high-water mark, plus the Debug assert inside
 ///    CodeCache::install* firing mid-run on any violation);
 ///  * a profile-decay tick flushes the compiler's memoization cache, and
-///    pinned in-flight symbols survive forced eviction.
+///    pinned in-flight symbols survive forced eviction;
+///  * retired code is freed, with its decoded tables, when the outermost
+///    run() returns — and only then: a nested run() issued from a hook
+///    frees nothing, so the outer frame keeps running its retired body.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -32,6 +35,7 @@
 #include "inliner/Compilers.h"
 #include "ir/IRCloner.h"
 #include "jit/JitRuntime.h"
+#include "workloads/Traffic.h"
 
 #include <gtest/gtest.h>
 
@@ -560,6 +564,115 @@ TEST(JitCodeCacheRuntime, DecayTickFlushesTheTrialCache) {
   ASSERT_NE(Compiler.compileCache(), nullptr);
   EXPECT_GE(Compiler.compileCache()->cacheStats().EpochInvalidations, 1u);
   EXPECT_EQ(Runtime.stats().Invalidations, 0u);
+}
+
+//===----------------------------------------------------------------------===//
+// Retired-code lifetime
+//===----------------------------------------------------------------------===//
+
+/// Entries currently installed (methods + OSR variants), from the
+/// lifecycle counters.
+uint64_t installedEntries(const jit::CodeCacheStats &S) {
+  return S.MethodInstalls + S.OsrInstalls - S.Evictions - S.OsrEvictions -
+         S.Invalidations - S.OsrInvalidations;
+}
+
+TEST(JitCodeCacheLifecycle, RetiredCodeIsFreedWhenTheOutermostRunReturns) {
+  // One runtime under a small budget serves the same request stream three
+  // times. Budget pressure retires code all the time, yet after every
+  // request the graveyard is empty and the decoded bodies are bounded by
+  // what can still run: baseline functions plus installed entries. Memory
+  // therefore stays flat across rounds instead of growing with every
+  // retirement.
+  const std::string Source = workloads::buildTrafficProgram(40);
+  std::unique_ptr<ir::Module> M = compile(Source);
+  std::unique_ptr<ir::Module> RefM = compile(Source);
+  ASSERT_NE(M, nullptr);
+  inliner::IncrementalCompiler Compiler{inliner::InlinerConfig()};
+  jit::JitConfig Config;
+  Config.CompileThreshold = 3;
+  Config.CodeCacheBudget = 400;
+  jit::JitRuntime Runtime(*M, Compiler, Config);
+  jit::JitConfig RefConfig;
+  RefConfig.Enabled = false;
+  jit::JitRuntime Reference(*RefM, Compiler, RefConfig);
+
+  std::vector<std::string> Stream;
+  for (unsigned I = 0; I < 240; ++I)
+    Stream.push_back("handler" + std::to_string((I * 7 + I / 40) % 40));
+
+  size_t DecodedAfterRound[3] = {};
+  for (int Round = 0; Round < 3; ++Round) {
+    SCOPED_TRACE("round " + std::to_string(Round));
+    for (const std::string &Symbol : Stream) {
+      interp::ExecResult R = Runtime.run(Symbol);
+      ASSERT_TRUE(R.ok()) << Symbol << ": " << R.TrapMessage;
+      if (Round == 0) {
+        EXPECT_EQ(R.Output, Reference.run(Symbol).Output) << Symbol;
+      }
+      ASSERT_EQ(Runtime.codeCache().retiredCount(), 0u) << Symbol;
+      ASSERT_LE(Runtime.decodedBodyCount(),
+                M->numFunctions() +
+                    installedEntries(Runtime.codeCacheStats()))
+          << Symbol;
+    }
+    DecodedAfterRound[Round] = Runtime.decodedBodyCount();
+  }
+  EXPECT_GE(Runtime.codeCacheStats().Evictions, 1u); // Pressure was real.
+  EXPECT_EQ(DecodedAfterRound[1], DecodedAfterRound[2]);
+}
+
+TEST(JitCodeCacheLifecycle, NestedRunFreesNothing) {
+  const std::string Expected = [] {
+    std::unique_ptr<ir::Module> Ref = compile(MidLoopSource);
+    return incline::testing::runOutput(*Ref);
+  }();
+
+  // Once armed, the hook fires at the first leaf invocation: compiled
+  // `outer` is executing up the stack. It evicts that executing body and
+  // issues a nested run() — which must not free the retired body, or the
+  // outer frame would resume on freed code (ASan reports it; the retired
+  // count observed inside the hook says it deterministically).
+  struct Probe {
+    jit::JitRuntime *RT = nullptr;
+    bool Armed = false;
+    bool Fired = false;
+    std::string NestedOutput;
+    size_t RetiredAfterNested = 0;
+  };
+  auto P = std::make_shared<Probe>();
+  std::unique_ptr<ir::Module> M = compile(std::string(MidLoopSource) +
+                                          "def other() { print(4242); }\n");
+  PassthroughCompiler Compiler;
+  jit::JitConfig Config;
+  Config.CompileThreshold = 2;
+  Config.ForceEvict = [P](std::string_view Symbol) {
+    if (!P->Armed || P->Fired || Symbol != "leaf")
+      return false;
+    P->Fired = true;
+    P->RT->evictNow("outer");
+    interp::ExecResult Nested = P->RT->run("other");
+    P->NestedOutput = Nested.Output;
+    P->RetiredAfterNested = P->RT->codeCache().retiredCount();
+    return false;
+  };
+  jit::JitRuntime Runtime(*M, Compiler, Config);
+  P->RT = &Runtime;
+
+  interp::ExecResult R1 = Runtime.runMain();
+  ASSERT_TRUE(R1.ok()) << R1.TrapMessage;
+  EXPECT_EQ(R1.Output, Expected);
+  ASSERT_NE(Runtime.codeCache().installedMethod("outer"), nullptr);
+  ASSERT_NE(Runtime.codeCache().installedMethod("leaf"), nullptr);
+
+  P->Armed = true;
+  interp::ExecResult R2 = Runtime.runMain();
+  ASSERT_TRUE(P->Fired);
+  ASSERT_TRUE(R2.ok()) << R2.TrapMessage;
+  EXPECT_EQ(R2.Output, Expected); // The outer frame finished correctly.
+  EXPECT_EQ(P->NestedOutput, "4242\n");
+  EXPECT_GE(P->RetiredAfterNested, 1u); // Still parked after the nested run.
+  EXPECT_EQ(Runtime.codeCache().retiredCount(), 0u); // Freed on return.
 }
 
 //===----------------------------------------------------------------------===//

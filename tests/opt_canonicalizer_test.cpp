@@ -193,8 +193,9 @@ TEST(CanonicalizerTest, DevirtualizesExactReceiver) {
   EXPECT_EQ(countKind(*F, ValueKind::NullCheck), 0u);
   for (const auto &BB : F->blocks())
     for (const auto &Inst : BB->instructions())
-      if (const auto *Call = dyn_cast<CallInst>(Inst.get()))
+      if (const auto *Call = dyn_cast<CallInst>(Inst.get())) {
         EXPECT_EQ(Call->callee(), "B.m");
+      }
   expectVerified(*M);
   EXPECT_EQ(runOutput(*M), "2\n");
 }

@@ -305,6 +305,23 @@ TEST(TrialCacheEndToEndTest, SharedHitsAreBitIdenticalToCacheOff) {
   EXPECT_GT(SharedHits, 0u);
 }
 
+TEST(TrialCacheEndToEndTest, CacheOffStillCountsComputedTrials) {
+  // The miss counter is "deep trials computed from scratch": with the
+  // cache off every trial is computed, so misses are the trial count and
+  // hits stay zero.
+  inliner::InlinerConfig Config;
+  Config.TrialCache = inliner::TrialCacheMode::Off;
+  inliner::IncrementalCompiler Compiler(Config);
+  workloads::RunResult R =
+      runShared(workloads::allWorkloads().front(), Compiler, 1);
+  ASSERT_TRUE(R.Ok) << R.Error;
+  uint64_t Misses = 0;
+  for (const jit::CompilationRecord &Record : R.Compilations)
+    Misses += Record.Stats.TrialCacheMisses;
+  EXPECT_GT(Misses, 0u);
+  EXPECT_EQ(totalHits(R), 0u);
+}
+
 TEST(TrialCacheEndToEndTest, SharedCacheServesConcurrentCompileWorkers) {
   // 4 deterministic compile workers share one cache; the replay stream —
   // and therefore the installed code — must match the cache-off run.
