@@ -9,8 +9,7 @@
 #include "ir/IRBuilder.h"
 #include "support/ErrorHandling.h"
 
-#include <unordered_map>
-#include <unordered_set>
+#include <algorithm>
 
 using namespace incline;
 using namespace incline::frontend;
@@ -24,7 +23,8 @@ class FunctionLowering {
 public:
   FunctionLowering(const FunctionDecl &Decl, const Sema &S, Module &M,
                    Function &F)
-      : Decl(Decl), S(S), M(M), F(F), Builder(F) {}
+      : Decl(Decl), S(S), M(M), F(F), Builder(F),
+        NumVars(Decl.LocalTypes.size()) {}
 
   void run() {
     BasicBlock *Entry = F.addBlock("entry");
@@ -49,7 +49,9 @@ public:
       else
         Builder.ret(Builder.constNull());
     }
-    assert(IncompletePhis.empty() && "unsealed block at end of lowering");
+    assert(std::all_of(IncompletePhis.begin(), IncompletePhis.end(),
+                       [](const auto &Phis) { return Phis.empty(); }) &&
+           "unsealed block at end of lowering");
   }
 
 private:
@@ -57,27 +59,50 @@ private:
   // SSA variable bookkeeping (Braun et al.)
   //===--------------------------------------------------------------------===//
 
+  /// The current definition of \p Var in \p BB (null while unknown).
+  Value *&currentDef(int Var, const BasicBlock *BB) {
+    size_t Index = BB->id() * NumVars + static_cast<size_t>(Var);
+    assert(static_cast<size_t>(Var) < NumVars && "local id out of range");
+    if (Index >= CurrentDef.size())
+      CurrentDef.resize(F.blockIdBound() * NumVars, nullptr);
+    return CurrentDef[Index];
+  }
+
   void writeVariable(int Var, BasicBlock *BB, Value *V) {
-    CurrentDef[BB][Var] = V;
+    currentDef(Var, BB) = V;
   }
 
   Value *readVariable(int Var, BasicBlock *BB) {
-    auto BlockIt = CurrentDef.find(BB);
-    if (BlockIt != CurrentDef.end()) {
-      auto VarIt = BlockIt->second.find(Var);
-      if (VarIt != BlockIt->second.end())
-        return VarIt->second;
+    Value *&Def = currentDef(Var, BB);
+    if (!Def)
+      return readVariableRecursive(Var, BB);
+    return Def = forwarded(Def);
+  }
+
+  /// \p V, or what replaced it if it is a removed trivial phi.
+  Value *forwarded(Value *V) const {
+    while (const auto *Phi = dyn_cast<PhiInst>(V)) {
+      unsigned Id = Phi->instId();
+      if (Id >= ReplacedBy.size() || !ReplacedBy[Id])
+        break;
+      V = ReplacedBy[Id];
     }
-    return readVariableRecursive(Var, BB);
+    return V;
+  }
+
+  bool isSealed(const BasicBlock *BB) const {
+    return BB->id() < Sealed.size() && Sealed[BB->id()];
   }
 
   Value *readVariableRecursive(int Var, BasicBlock *BB) {
     Value *V;
-    if (!Sealed.count(BB)) {
+    if (!isSealed(BB)) {
       // Unknown predecessors: place an operandless phi and complete it when
       // the block is sealed.
       PhiInst *Phi = placePhi(Var, BB);
-      IncompletePhis[BB].emplace_back(Var, Phi);
+      if (BB->id() >= IncompletePhis.size())
+        IncompletePhis.resize(F.blockIdBound());
+      IncompletePhis[BB->id()].emplace_back(Var, Phi);
       V = Phi;
     } else if (BB->predecessors().size() == 1) {
       V = readVariable(Var, BB->predecessors()[0]);
@@ -119,25 +144,28 @@ private:
       if (auto *P = dyn_cast<PhiInst>(User); P && P != Phi)
         PhiUsers.push_back(P);
     Phi->replaceAllUsesWith(Same);
-    // The SSA variable maps may still point at the dead phi.
-    for (auto &[Block, Vars] : CurrentDef)
-      for (auto &[Var, Val] : Vars)
-        if (Val == Phi)
-          Val = Same;
-    Phi->parent()->erase(Phi);
+    // CurrentDef may still name the dead phi. Rather than search it, keep
+    // the phi allocated but out of its block, and let reads forward.
+    if (Phi->instId() >= ReplacedBy.size())
+      ReplacedBy.resize(F.instIdBound(), nullptr);
+    ReplacedBy[Phi->instId()] = Same;
+    RemovedPhis.push_back(Phi->parent()->detach(Phi));
+    RemovedPhis.back()->dropAllOperands();
     for (PhiInst *P : PhiUsers)
       tryRemoveTrivialPhi(P);
     return Same;
   }
 
   void sealBlock(BasicBlock *BB) {
-    assert(!Sealed.count(BB) && "sealing a block twice");
-    auto It = IncompletePhis.find(BB);
-    Sealed.insert(BB);
-    if (It == IncompletePhis.end())
+    assert(!isSealed(BB) && "sealing a block twice");
+    if (BB->id() >= Sealed.size())
+      Sealed.resize(F.blockIdBound(), false);
+    Sealed[BB->id()] = true;
+    if (BB->id() >= IncompletePhis.size())
       return;
-    std::vector<std::pair<int, PhiInst *>> Pending = std::move(It->second);
-    IncompletePhis.erase(It);
+    std::vector<std::pair<int, PhiInst *>> Pending =
+        std::move(IncompletePhis[BB->id()]);
+    IncompletePhis[BB->id()].clear();
     for (auto &[Var, Phi] : Pending)
       addPhiOperands(Var, Phi);
   }
@@ -371,11 +399,15 @@ private:
   Function &F;
   IRBuilder Builder;
 
-  std::unordered_map<BasicBlock *, std::unordered_map<int, Value *>>
-      CurrentDef;
-  std::unordered_set<BasicBlock *> Sealed;
-  std::unordered_map<BasicBlock *, std::vector<std::pair<int, PhiInst *>>>
-      IncompletePhis;
+  // Indexed by block id (and local id): blocks are only added while a
+  // function is lowered, so the tables grow with Function::blockIdBound().
+  const size_t NumVars;
+  std::vector<Value *> CurrentDef; ///< [block id * NumVars + local id].
+  std::vector<bool> Sealed;
+  std::vector<std::vector<std::pair<int, PhiInst *>>> IncompletePhis;
+  /// Trivial phis removed so far, and what replaced each (by instId).
+  std::vector<std::unique_ptr<Instruction>> RemovedPhis;
+  std::vector<Value *> ReplacedBy;
 };
 
 /// Creates the Function shell (signature) for \p Decl in \p M.

@@ -35,9 +35,9 @@ public:
 
   Function *parent() const { return Parent; }
   const std::string &name() const { return Name; }
-  /// Function-unique id; dense but not stable across block removal.
+  /// Function-unique id in [0, Function::blockIdBound()), assigned at
+  /// creation and never changed or reused.
   unsigned id() const { return Id; }
-  void setId(unsigned NewId) { Id = NewId; }
 
   const std::vector<std::unique_ptr<Instruction>> &instructions() const {
     return Insts;

@@ -10,7 +10,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <unordered_set>
 
 using namespace incline;
 using namespace incline::ir;
@@ -117,23 +116,26 @@ void Function::reserveProfileIdsUpTo(unsigned Watermark) {
 
 std::vector<BasicBlock *> Function::reversePostOrder() const {
   std::vector<BasicBlock *> PostOrder;
-  std::unordered_set<const BasicBlock *> Visited;
+  std::vector<bool> Visited(blockIdBound(), false);
   // Iterative DFS with an explicit stack of (block, next-successor-index).
   std::vector<std::pair<BasicBlock *, size_t>> Stack;
   BasicBlock *Entry = entry();
-  Visited.insert(Entry);
+  Visited[Entry->id()] = true;
   Stack.emplace_back(Entry, 0);
   while (!Stack.empty()) {
     auto &[BB, NextIdx] = Stack.back();
-    std::vector<BasicBlock *> Succs = BB->successors();
-    if (NextIdx >= Succs.size()) {
+    const Instruction *Term = BB->terminator();
+    if (!Term || NextIdx >= numSuccessors(Term)) {
       PostOrder.push_back(BB);
       Stack.pop_back();
       continue;
     }
-    BasicBlock *Succ = Succs[NextIdx++];
-    if (Visited.insert(Succ).second)
+    BasicBlock *Succ = successor(Term, NextIdx++);
+    assert(Succ->parent() == this && "edge into another function");
+    if (!Visited[Succ->id()]) {
+      Visited[Succ->id()] = true;
       Stack.emplace_back(Succ, 0);
+    }
   }
   std::reverse(PostOrder.begin(), PostOrder.end());
   return PostOrder;

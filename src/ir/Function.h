@@ -64,7 +64,8 @@ public:
   BasicBlock *addBlock(std::string NameHint);
 
   /// Unlinks and destroys \p BB. The block must have no predecessors and
-  /// its instructions no outside uses. Renumbers remaining block ids.
+  /// its instructions no outside uses. Other blocks keep their ids, and
+  /// \p BB's id is not reused.
   void removeBlock(BasicBlock *BB);
 
   /// Moves \p BB to the end of the block list (block order is only
@@ -100,6 +101,15 @@ public:
 
   /// Fresh Instruction::instId(); called by BasicBlock on first insertion.
   unsigned takeNextInstId() { return ++NextInstId; }
+
+  /// Bounds of the dense ids, for tables indexed by them. Every instruction
+  /// inserted into this function has an Instruction::instId() in
+  /// [1, instIdBound()), every block a BasicBlock::id() in
+  /// [0, blockIdBound()), and no two of either share an id. Ids are never
+  /// reused, so the bounds only grow. An instruction moved in from another
+  /// function keeps its old id and can break this; the verifier reports it.
+  unsigned instIdBound() const { return NextInstId + 1; }
+  unsigned blockIdBound() const { return NextBlockId; }
 
   /// Blocks in reverse post order from the entry (every reachable block).
   std::vector<BasicBlock *> reversePostOrder() const;

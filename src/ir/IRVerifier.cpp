@@ -13,6 +13,8 @@
 #include "support/StringUtils.h"
 
 #include <algorithm>
+#include <cassert>
+#include <cstdint>
 #include <cstdio>
 #include <unordered_map>
 #include <unordered_set>
@@ -22,9 +24,37 @@ using namespace incline::ir;
 
 namespace {
 
+constexpr uint32_t NoSlot = UINT32_MAX;
+
+/// The verifier's tables, flat and indexed by the dense ids of Function's
+/// id contract. One Scratch serves every function of a verifyModule call:
+/// each function re-sizes the tables to its own id bounds, so the storage
+/// grows to the largest function and is freed when the call returns.
+struct Scratch {
+  // Instruction slots: an instruction's id is its slot, unless the id is
+  // out of range or already taken (both reported), in which case it gets
+  // an overflow slot past instIdBound().
+  std::vector<const Instruction *> InstAt;
+  std::vector<uint32_t> Position; ///< Index in the block, by slot.
+  // Expected users per value slot (argument I is slot I, instruction slot
+  // S is numParams() + S), as one bucketed array.
+  std::vector<uint32_t> UseBegin;
+  std::vector<const Instruction *> Uses;
+  std::vector<const Instruction *> Actual;
+  // Blocks by id, and the sources of the terminator edges into each block.
+  std::vector<const BasicBlock *> BlockAt;
+  std::vector<uint32_t> EdgeBegin;
+  std::vector<const BasicBlock *> EdgeSources;
+  std::vector<int> Count;
+  // Per-block-id marks: a block is in a set when its mark equals the set's
+  // generation, so starting a new set costs nothing.
+  std::vector<uint32_t> PredMark, EdgeMark, SeenMark;
+  std::vector<const BasicBlock *> ForeignPreds;
+};
+
 class Verifier {
 public:
-  explicit Verifier(const Function &F) : F(F) {}
+  Verifier(const Function &F, Scratch &S) : F(F), S(S) {}
 
   std::vector<std::string> run() {
     checkBlocks();
@@ -43,6 +73,14 @@ private:
   }
 
   void checkBlocks() {
+    S.InstAt.assign(F.instIdBound(), nullptr);
+    S.Position.assign(F.instIdBound(), 0);
+    S.BlockAt.assign(F.blockIdBound(), nullptr);
+    for (const auto &BB : F.blocks()) {
+      assert(BB->id() < S.BlockAt.size() && !S.BlockAt[BB->id()] &&
+             "block ids are unique and in range by construction");
+      S.BlockAt[BB->id()] = BB.get();
+    }
     if (F.blocks().empty()) {
       problem("function has no blocks");
       return;
@@ -69,67 +107,158 @@ private:
         if (Inst->isTerminator() != IsLast)
           problem(IsLast ? "block " + BB->name() + " lacks a terminator"
                          : "terminator in the middle of " + BB->name());
+        claimSlot(Inst, *BB, static_cast<uint32_t>(I));
       }
     }
+  }
+
+  /// Gives \p Inst, at \p Position in \p BB, its slot: its id, or an
+  /// overflow slot when the id breaks Function's id contract.
+  void claimSlot(const Instruction *Inst, const BasicBlock &BB,
+                 uint32_t Position) {
+    unsigned Id = Inst->instId();
+    uint32_t Slot = Id;
+    bool InRange = Id != 0 && Id < F.instIdBound();
+    if (!InRange || S.InstAt[Id]) {
+      problem(formatString(InRange ? "instruction id %u in %s is shared with "
+                                     "another instruction"
+                                   : "instruction id %u in %s is outside the "
+                                     "function's id range",
+                           Id, BB.name().c_str()));
+      Slot = static_cast<uint32_t>(S.InstAt.size());
+      S.InstAt.push_back(nullptr);
+      S.Position.push_back(0);
+    }
+    S.InstAt[Slot] = Inst;
+    S.Position[Slot] = Position;
+  }
+
+  /// \p Inst's slot, or NoSlot if it is not an instruction of this function.
+  uint32_t instSlot(const Instruction *Inst) const {
+    unsigned Id = Inst->instId();
+    if (Id < F.instIdBound() && S.InstAt[Id] == Inst)
+      return Id;
+    for (size_t Slot = F.instIdBound(); Slot < S.InstAt.size(); ++Slot)
+      if (S.InstAt[Slot] == Inst)
+        return static_cast<uint32_t>(Slot);
+    return NoSlot;
+  }
+
+  /// \p V's value slot, or NoSlot for constants and for values of other
+  /// functions.
+  uint32_t valueSlot(const Value *V) const {
+    if (const auto *Arg = dyn_cast<Argument>(V))
+      return Arg->index() < F.numParams() && F.arg(Arg->index()) == Arg
+                 ? Arg->index()
+                 : NoSlot;
+    const auto *Inst = dyn_cast<Instruction>(V);
+    uint32_t Slot = Inst ? instSlot(Inst) : NoSlot;
+    return Slot == NoSlot ? NoSlot
+                          : static_cast<uint32_t>(F.numParams()) + Slot;
   }
 
   void checkUseDefSymmetry() {
     // Every operand's use list must contain the user exactly as many times
-    // as the user references the operand, and vice versa.
-    std::unordered_map<const Value *,
-                       std::unordered_map<const Instruction *, int>>
-        ExpectedUses;
-    std::unordered_set<const Value *> KnownValues;
-    for (const auto &Arg : F.args())
-      KnownValues.insert(Arg.get());
+    // as the user references the operand, and vice versa. The expected
+    // users of each value go into its bucket of S.Uses.
+    const size_t NumSlots = F.numParams() + S.InstAt.size();
+    S.UseBegin.assign(NumSlots + 1, 0);
     for (const auto &BB : F.blocks())
       for (const auto &Inst : BB->instructions())
-        KnownValues.insert(Inst.get());
-
-    for (const auto &BB : F.blocks()) {
-      for (const auto &Inst : BB->instructions()) {
         for (const Value *Op : Inst->operands()) {
-          ++ExpectedUses[Op][Inst.get()];
-          if (!isa<Constant>(Op) && !KnownValues.count(Op))
+          uint32_t Slot = valueSlot(Op);
+          if (Slot != NoSlot)
+            ++S.UseBegin[Slot + 1];
+          else if (!isa<Constant>(Op))
             problem("operand defined outside the function");
         }
-      }
-    }
-    auto CheckValue = [&](const Value *V) {
-      std::unordered_map<const Instruction *, int> Actual;
-      for (const Instruction *User : V->users())
-        ++Actual[User];
-      auto Expected = ExpectedUses.find(V);
-      const std::unordered_map<const Instruction *, int> Empty;
-      const auto &Exp = Expected == ExpectedUses.end() ? Empty
-                                                       : Expected->second;
-      if (Actual != Exp)
+    for (size_t Slot = 0; Slot < NumSlots; ++Slot)
+      S.UseBegin[Slot + 1] += S.UseBegin[Slot];
+    S.Uses.resize(S.UseBegin[NumSlots]);
+    // Fill each bucket from its front, which leaves UseBegin[Slot] at the
+    // bucket's end; shifting by one restores the starts.
+    for (const auto &BB : F.blocks())
+      for (const auto &Inst : BB->instructions())
+        for (const Value *Op : Inst->operands())
+          if (uint32_t Slot = valueSlot(Op); Slot != NoSlot)
+            S.Uses[S.UseBegin[Slot]++] = Inst.get();
+    for (size_t Slot = NumSlots; Slot > 0; --Slot)
+      S.UseBegin[Slot] = S.UseBegin[Slot - 1];
+    S.UseBegin[0] = 0;
+
+    for (size_t Slot = 0; Slot < NumSlots; ++Slot) {
+      const Value *V = Slot < F.numParams()
+                           ? static_cast<const Value *>(F.arg(Slot))
+                           : S.InstAt[Slot - F.numParams()];
+      if (V && !sameUsers(V->users(), S.UseBegin[Slot], S.UseBegin[Slot + 1]))
         problem("use-list out of sync for a value");
-    };
-    for (const Value *V : KnownValues)
-      CheckValue(V);
+    }
+  }
+
+  /// True if \p Users and S.Uses[Begin, End) are equal as multisets.
+  bool sameUsers(const std::vector<Instruction *> &Users, uint32_t Begin,
+                 uint32_t End) {
+    if (Users.size() != End - Begin)
+      return false;
+    auto Expected = S.Uses.begin() + Begin;
+    if (std::equal(Users.begin(), Users.end(), Expected))
+      return true;
+    S.Actual.assign(Users.begin(), Users.end());
+    std::sort(S.Actual.begin(), S.Actual.end());
+    std::sort(Expected, S.Uses.begin() + End);
+    return std::equal(S.Actual.begin(), S.Actual.end(), Expected);
+  }
+
+  bool isOwnBlock(const BasicBlock *BB) const {
+    return BB && BB->id() < S.BlockAt.size() && S.BlockAt[BB->id()] == BB;
   }
 
   void checkPredecessorSymmetry() {
-    // BB->predecessors() must match the multiset of terminator edges.
-    std::unordered_map<const BasicBlock *,
-                       std::unordered_map<const BasicBlock *, int>>
-        Expected;
+    // BB->predecessors() must match the multiset of terminator edges. The
+    // sources of the edges into each block go into its bucket of
+    // S.EdgeSources (filled as in checkUseDefSymmetry).
+    const size_t NumBlocks = S.BlockAt.size();
+    S.EdgeBegin.assign(NumBlocks + 1, 0);
     for (const auto &BB : F.blocks()) {
       const Instruction *Term = BB->terminator();
       if (!Term)
         continue;
-      for (const BasicBlock *Succ : successorsOf(Term))
-        ++Expected[Succ][BB.get()];
+      for (unsigned I = 0; I < numSuccessors(Term); ++I) {
+        const BasicBlock *Succ = successor(Term, I);
+        if (isOwnBlock(Succ))
+          ++S.EdgeBegin[Succ->id() + 1];
+        else
+          problem("edge from " + BB->name() +
+                  " to a block that is not a block of this function");
+      }
     }
+    for (size_t Id = 0; Id < NumBlocks; ++Id)
+      S.EdgeBegin[Id + 1] += S.EdgeBegin[Id];
+    S.EdgeSources.resize(S.EdgeBegin[NumBlocks]);
+    for (const auto &BB : F.blocks())
+      if (const Instruction *Term = BB->terminator())
+        for (unsigned I = 0; I < numSuccessors(Term); ++I)
+          if (const BasicBlock *Succ = successor(Term, I); isOwnBlock(Succ))
+            S.EdgeSources[S.EdgeBegin[Succ->id()]++] = BB.get();
+    for (size_t Id = NumBlocks; Id > 0; --Id)
+      S.EdgeBegin[Id] = S.EdgeBegin[Id - 1];
+    S.EdgeBegin[0] = 0;
+
+    S.Count.assign(NumBlocks, 0);
     for (const auto &BB : F.blocks()) {
-      std::unordered_map<const BasicBlock *, int> Actual;
-      for (const BasicBlock *Pred : BB->predecessors())
-        ++Actual[Pred];
-      const std::unordered_map<const BasicBlock *, int> Empty;
-      auto It = Expected.find(BB.get());
-      const auto &Exp = It == Expected.end() ? Empty : It->second;
-      if (Actual != Exp)
+      const std::vector<BasicBlock *> &Preds = BB->predecessors();
+      uint32_t Begin = S.EdgeBegin[BB->id()], End = S.EdgeBegin[BB->id() + 1];
+      bool Same = Preds.size() == End - Begin;
+      for (uint32_t K = Begin; Same && K < End; ++K)
+        ++S.Count[S.EdgeSources[K]->id()];
+      for (size_t K = 0; Same && K < Preds.size(); ++K) {
+        Same = isOwnBlock(Preds[K]) && S.Count[Preds[K]->id()] > 0;
+        if (Same)
+          --S.Count[Preds[K]->id()];
+      }
+      for (uint32_t K = Begin; K < End; ++K)
+        S.Count[S.EdgeSources[K]->id()] = 0;
+      if (!Same)
         problem("predecessor list out of sync for " + BB->name());
     }
   }
@@ -140,42 +269,61 @@ private:
     // terminators and predecessor lists separately, and a stale-but-
     // internally-consistent pair would otherwise let a phi reference a
     // block that no longer branches here.
-    std::unordered_set<const BasicBlock *> FunctionBlocks;
-    for (const auto &BB : F.blocks())
-      FunctionBlocks.insert(BB.get());
-    std::unordered_map<const BasicBlock *,
-                       std::unordered_set<const BasicBlock *>>
-        EdgePreds;
-    for (const auto &BB : F.blocks())
-      if (const Instruction *Term = BB->terminator())
-        for (const BasicBlock *Succ : successorsOf(Term))
-          EdgePreds[Succ].insert(BB.get());
-
+    S.PredMark.assign(S.BlockAt.size(), 0);
+    S.EdgeMark.assign(S.BlockAt.size(), 0);
+    S.SeenMark.assign(S.BlockAt.size(), 0);
+    uint32_t Generation = 0;
     for (const auto &BB : F.blocks()) {
-      std::unordered_set<const BasicBlock *> PredSet(
-          BB->predecessors().begin(), BB->predecessors().end());
-      const std::unordered_set<const BasicBlock *> &FromEdges =
-          EdgePreds[BB.get()];
-      for (const PhiInst *Phi : BB->phis()) {
-        std::unordered_set<const BasicBlock *> Seen;
+      if (BB->empty() || !isa<PhiInst>(BB->front()))
+        continue;
+      // The distinct predecessors, and the distinct sources of edges here.
+      const uint32_t Marked = ++Generation;
+      size_t NumPreds = 0;
+      S.ForeignPreds.clear();
+      for (const BasicBlock *Pred : BB->predecessors()) {
+        if (!isOwnBlock(Pred))
+          S.ForeignPreds.push_back(Pred);
+        else if (S.PredMark[Pred->id()] != Marked) {
+          S.PredMark[Pred->id()] = Marked;
+          ++NumPreds;
+        }
+      }
+      std::sort(S.ForeignPreds.begin(), S.ForeignPreds.end());
+      NumPreds += static_cast<size_t>(
+          std::unique(S.ForeignPreds.begin(), S.ForeignPreds.end()) -
+          S.ForeignPreds.begin());
+      for (uint32_t K = S.EdgeBegin[BB->id()]; K < S.EdgeBegin[BB->id() + 1];
+           ++K)
+        S.EdgeMark[S.EdgeSources[K]->id()] = Marked;
+
+      for (const auto &Inst : BB->instructions()) {
+        const auto *Phi = dyn_cast<PhiInst>(Inst.get());
+        if (!Phi)
+          break; // checkBlocks reports phis after the prefix.
+        const uint32_t Seen = ++Generation;
+        size_t NumSeen = 0;
         for (size_t I = 0; I < Phi->numIncoming(); ++I) {
           const BasicBlock *In = Phi->incomingBlock(I);
-          if (!FunctionBlocks.count(In)) {
+          if (!isOwnBlock(In)) {
             problem("phi in " + BB->name() +
                     " has an incoming block that is not a block of this "
                     "function");
             continue;
           }
-          if (!PredSet.count(In))
+          if (S.PredMark[In->id()] != Marked)
             problem("phi in " + BB->name() +
                     " has an incoming edge from a non-predecessor");
-          else if (!FromEdges.count(In))
+          else if (S.EdgeMark[In->id()] != Marked)
             problem("phi in " + BB->name() + " has an incoming block (" +
                     In->name() + ") with no CFG edge to " + BB->name());
-          if (!Seen.insert(In).second)
+          if (S.SeenMark[In->id()] == Seen) {
             problem("phi in " + BB->name() + " has a duplicate incoming edge");
+          } else {
+            S.SeenMark[In->id()] = Seen;
+            ++NumSeen;
+          }
         }
-        if (Seen.size() != PredSet.size())
+        if (NumSeen != NumPreds)
           problem("phi in " + BB->name() + " misses a predecessor entry");
       }
     }
@@ -260,14 +408,15 @@ private:
     for (const auto &BB : F.blocks()) {
       if (!DT.isReachable(BB.get()))
         continue;
-      for (const auto &Inst : BB->instructions()) {
+      for (size_t UsePos = 0; UsePos < BB->size(); ++UsePos) {
+        const Instruction *Inst = BB->instructions()[UsePos].get();
         for (size_t OpIdx = 0; OpIdx < Inst->numOperands(); ++OpIdx) {
           const Value *Op = Inst->operand(OpIdx);
           const auto *Def = dyn_cast<Instruction>(Op);
           if (!Def)
             continue; // Arguments and constants dominate everything.
           const BasicBlock *DefBB = Def->parent();
-          if (const auto *Phi = dyn_cast<PhiInst>(Inst.get())) {
+          if (const auto *Phi = dyn_cast<PhiInst>(Inst)) {
             // A phi operand must dominate the incoming edge's source.
             const BasicBlock *In = Phi->incomingBlock(OpIdx);
             if (!DT.dominates(DefBB, In))
@@ -276,7 +425,10 @@ private:
             continue;
           }
           if (DefBB == BB.get()) {
-            if (BB->indexOf(Def) >= BB->indexOf(Inst.get()))
+            // With no problems so far, every operand is an instruction of
+            // this function holding its own id slot.
+            assert(S.InstAt[Def->instId()] == Def && "def without a slot");
+            if (S.Position[Def->instId()] >= UsePos)
               problem("use before def inside " + BB->name());
           } else if (!DT.dominates(DefBB, BB.get())) {
             problem("operand def does not dominate use in " + BB->name());
@@ -287,13 +439,15 @@ private:
   }
 
   const Function &F;
+  Scratch &S;
   std::vector<std::string> Problems;
 };
 
 } // namespace
 
 std::vector<std::string> incline::ir::verifyFunction(const Function &F) {
-  return Verifier(F).run();
+  Scratch S;
+  return Verifier(F, S).run();
 }
 
 std::vector<std::string>
@@ -461,8 +615,9 @@ incline::ir::verifyOsrEntries(const Function &F, const Module &M) {
 
 std::vector<std::string> incline::ir::verifyModule(const Module &M) {
   std::vector<std::string> Problems;
+  Scratch S;
   for (const auto &[Name, F] : M.functions()) {
-    std::vector<std::string> Local = verifyFunction(*F);
+    std::vector<std::string> Local = Verifier(*F, S).run();
     Problems.insert(Problems.end(), Local.begin(), Local.end());
     Local = verifyFrameStates(*F, M);
     Problems.insert(Problems.end(), Local.begin(), Local.end());

@@ -7,7 +7,10 @@
 /// \file
 /// Structural verification run after every transformation in tests:
 /// terminator placement, bidirectional use-def consistency, phi/predecessor
-/// agreement, CFG edge symmetry, and SSA dominance of defs over uses.
+/// agreement, CFG edge symmetry, and SSA dominance of defs over uses. It
+/// also holds functions to the dense-id contract its tables rely on (see
+/// Function::instIdBound): unique instruction ids below the bound, and
+/// edges only to the function's own blocks.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -174,14 +174,12 @@ std::string_view BinOpInst::opcodeName(Opcode Op) {
 //===----------------------------------------------------------------------===//
 
 std::vector<BasicBlock *> incline::ir::successorsOf(const Instruction *Term) {
-  assert(Term->isTerminator() && "successorsOf on a non-terminator");
-  if (const auto *Br = dyn_cast<BranchInst>(Term))
-    return {Br->trueSuccessor(), Br->falseSuccessor()};
-  if (const auto *Jmp = dyn_cast<JumpInst>(Term))
-    return {Jmp->target()};
-  if (const auto *G = dyn_cast<GuardInst>(Term))
-    return {G->passSuccessor(), G->failSuccessor()};
-  return {}; // Return, Deopt.
+  unsigned N = numSuccessors(Term);
+  std::vector<BasicBlock *> Succs;
+  Succs.reserve(N);
+  for (unsigned I = 0; I < N; ++I)
+    Succs.push_back(successor(Term, I));
+  return Succs;
 }
 
 void incline::ir::replaceSuccessor(Instruction *Term, BasicBlock *Old,

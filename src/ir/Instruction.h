@@ -51,7 +51,8 @@ public:
   /// first joins a block and kept across moves between blocks. Unlike the
   /// instruction's address, which a later allocation can take over once it
   /// is erased, an id is never reused within its function. 0 until
-  /// inserted. Never printed, hashed or used to order anything.
+  /// inserted. Never printed, hashed or used to order anything; it indexes
+  /// flat side tables (see Function::instIdBound).
   unsigned instId() const { return InstId; }
 
   size_t numOperands() const { return Operands.size(); }
@@ -713,6 +714,29 @@ private:
 
 /// Successor blocks of a terminator instruction, in a fixed order.
 std::vector<BasicBlock *> successorsOf(const Instruction *Term);
+
+/// The size of successorsOf(\p Term) and its element \p I, without
+/// building the vector.
+inline unsigned numSuccessors(const Instruction *Term) {
+  assert(Term->isTerminator() && "numSuccessors on a non-terminator");
+  switch (Term->kind()) {
+  case ValueKind::Branch:
+  case ValueKind::Guard:
+    return 2;
+  case ValueKind::Jump:
+    return 1;
+  default:
+    return 0; // Return, Deopt.
+  }
+}
+inline BasicBlock *successor(const Instruction *Term, unsigned I) {
+  assert(I < numSuccessors(Term) && "successor index out of range");
+  if (const auto *Br = dyn_cast<BranchInst>(Term))
+    return I == 0 ? Br->trueSuccessor() : Br->falseSuccessor();
+  if (const auto *G = dyn_cast<GuardInst>(Term))
+    return I == 0 ? G->passSuccessor() : G->failSuccessor();
+  return cast<JumpInst>(Term)->target();
+}
 
 /// Rewrites every successor edge \p Old of \p Term to \p New.
 void replaceSuccessor(Instruction *Term, BasicBlock *Old, BasicBlock *New);

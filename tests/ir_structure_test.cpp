@@ -4,6 +4,8 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "frontend/Compiler.h"
+#include "fuzz/RandomProgram.h"
 #include "ir/Dominators.h"
 #include "ir/IRBuilder.h"
 #include "ir/IRCloner.h"
@@ -12,8 +14,13 @@
 #include "ir/LoopInfo.h"
 #include "ir/Module.h"
 #include "support/Casting.h"
+#include "workloads/Workloads.h"
 
 #include <gtest/gtest.h>
+
+#include <functional>
+#include <map>
+#include <set>
 
 using namespace incline;
 using namespace incline::ir;
@@ -224,6 +231,163 @@ TEST(DominatorTest, DiamondCFG) {
   EXPECT_EQ(Children.size(), 3u);
 }
 
+/// Dominators of \p F the slow, obvious way: reverse post order from a
+/// recursive DFS over the successors in terminator order, dominator sets
+/// iterated to a fixpoint, the immediate dominator as the strict dominator
+/// with the largest dominator set, and dominance by walking idom chains.
+class NaiveDominators {
+public:
+  explicit NaiveDominators(const Function &F) {
+    std::set<const BasicBlock *> Visited;
+    std::vector<BasicBlock *> PostOrder;
+    std::function<void(BasicBlock *)> Visit = [&](BasicBlock *BB) {
+      Visited.insert(BB);
+      for (BasicBlock *Succ : BB->successors())
+        if (!Visited.count(Succ))
+          Visit(Succ);
+      PostOrder.push_back(BB);
+    };
+    Visit(F.entry());
+    RPO.assign(PostOrder.rbegin(), PostOrder.rend());
+
+    std::map<const BasicBlock *, size_t> Index;
+    for (size_t I = 0; I < RPO.size(); ++I)
+      Index[RPO[I]] = I;
+    size_t N = RPO.size();
+    std::vector<std::vector<bool>> Dom(N, std::vector<bool>(N, true));
+    Dom[0].assign(N, false);
+    Dom[0][0] = true;
+    for (bool Changed = true; Changed;) {
+      Changed = false;
+      for (size_t I = 1; I < N; ++I) {
+        std::vector<bool> New(N, true);
+        for (const BasicBlock *Pred : RPO[I]->predecessors()) {
+          auto It = Index.find(Pred);
+          if (It == Index.end())
+            continue;
+          for (size_t J = 0; J < N; ++J)
+            New[J] = New[J] && Dom[It->second][J];
+        }
+        New[I] = true;
+        if (New != Dom[I]) {
+          Dom[I] = New;
+          Changed = true;
+        }
+      }
+    }
+    auto SetSize = [&](size_t I) {
+      return std::count(Dom[I].begin(), Dom[I].end(), true);
+    };
+    IDom[RPO[0]] = nullptr;
+    for (size_t I = 1; I < N; ++I) {
+      const BasicBlock *Best = nullptr;
+      long BestSize = 0;
+      for (size_t J = 0; J < N; ++J)
+        if (J != I && Dom[I][J] && SetSize(J) > BestSize) {
+          Best = RPO[J];
+          BestSize = SetSize(J);
+        }
+      IDom[RPO[I]] = Best;
+    }
+  }
+
+  bool isReachable(const BasicBlock *BB) const { return IDom.count(BB); }
+  const BasicBlock *idom(const BasicBlock *BB) const {
+    auto It = IDom.find(BB);
+    return It == IDom.end() ? nullptr : It->second;
+  }
+  bool dominates(const BasicBlock *A, const BasicBlock *B) const {
+    if (!isReachable(A) || !isReachable(B))
+      return false;
+    for (const BasicBlock *Cur = B; Cur; Cur = idom(Cur))
+      if (Cur == A)
+        return true;
+    return false;
+  }
+  std::vector<BasicBlock *> children(const BasicBlock *BB) const {
+    std::vector<BasicBlock *> Result;
+    for (size_t I = 1; I < RPO.size(); ++I)
+      if (idom(RPO[I]) == BB)
+        Result.push_back(RPO[I]);
+    return Result;
+  }
+
+  std::vector<BasicBlock *> RPO;
+
+private:
+  std::map<const BasicBlock *, const BasicBlock *> IDom;
+};
+
+/// Checks DominatorTree(F) query by query against NaiveDominators(F), with
+/// \p Foreign (blocks of another function) mixed into the dominance pairs.
+void expectMatchesNaive(const Function &F,
+                        const std::vector<BasicBlock *> &Foreign) {
+  SCOPED_TRACE(F.name());
+  DominatorTree DT(F);
+  NaiveDominators Naive(F);
+  ASSERT_EQ(DT.reversePostOrder(), Naive.RPO);
+  ASSERT_EQ(F.reversePostOrder(), Naive.RPO);
+  std::vector<const BasicBlock *> All;
+  for (const auto &BB : F.blocks()) {
+    All.push_back(BB.get());
+    ASSERT_EQ(DT.isReachable(BB.get()), Naive.isReachable(BB.get()))
+        << BB->name();
+    ASSERT_EQ(DT.idom(BB.get()), Naive.idom(BB.get())) << BB->name();
+    ASSERT_EQ(DT.children(BB.get()), Naive.children(BB.get())) << BB->name();
+  }
+  for (const BasicBlock *BB : Foreign) {
+    All.push_back(BB);
+    ASSERT_FALSE(DT.isReachable(BB));
+    ASSERT_EQ(DT.idom(BB), nullptr);
+    ASSERT_TRUE(DT.children(BB).empty());
+  }
+  for (const BasicBlock *A : All)
+    for (const BasicBlock *B : All)
+      ASSERT_EQ(DT.dominates(A, B), Naive.dominates(A, B))
+          << A->name() << " dom " << B->name();
+}
+
+/// Checks every function of \p M as lowered, then again with two
+/// unreachable blocks (orphan -> orphan2 -> the last block) hung onto it.
+void expectModuleMatchesNaive(const Module &M) {
+  // Blocks of another function whose ids overlap those of the function
+  // under test.
+  Function Other("other", {}, {}, Type::voidTy());
+  std::vector<BasicBlock *> Foreign;
+  for (int I = 0; I < 4; ++I)
+    Foreign.push_back(Other.addBlock("foreign"));
+  for (const auto &[Name, F] : M.functions()) {
+    expectMatchesNaive(*F, Foreign);
+    BasicBlock *Target = F->blocks().back().get();
+    BasicBlock *Orphan = F->addBlock("orphan");
+    BasicBlock *Orphan2 = F->addBlock("orphan2");
+    IRBuilder(*F, Orphan).jump(Orphan2);
+    IRBuilder(*F, Orphan2).jump(Target);
+    expectMatchesNaive(*F, Foreign);
+    F->removeBlock(Orphan);
+    F->removeBlock(Orphan2);
+  }
+}
+
+TEST(DominatorPropertyTest, RandomProgramsMatchNaiveDominators) {
+  for (uint64_t Seed = 0; Seed < 200; ++Seed) {
+    SCOPED_TRACE("seed " + std::to_string(Seed));
+    frontend::CompileResult R =
+        frontend::compileProgram(fuzz::generateRandomProgram(Seed));
+    ASSERT_TRUE(R.succeeded());
+    expectModuleMatchesNaive(*R.Mod);
+  }
+}
+
+TEST(DominatorPropertyTest, WorkloadsMatchNaiveDominators) {
+  for (const workloads::Workload &W : workloads::allWorkloads()) {
+    SCOPED_TRACE(W.Name);
+    frontend::CompileResult R = frontend::compileProgram(W.Source);
+    ASSERT_TRUE(R.succeeded());
+    expectModuleMatchesNaive(*R.Mod);
+  }
+}
+
 TEST(LoopInfoTest, DetectsNaturalLoop) {
   auto F = buildLoopFunction();
   DominatorTree DT(*F);
@@ -355,6 +519,349 @@ TEST(VerifierTest, DetectsUseBeforeDef) {
   std::vector<std::string> Problems = verifyFunction(F);
   ASSERT_FALSE(Problems.empty());
   EXPECT_NE(Problems[0].find("use before def"), std::string::npos);
+}
+
+//===----------------------------------------------------------------------===//
+// Verifier negative battery: one hand-broken function per message family,
+// each asserting the exact problem list.
+//===----------------------------------------------------------------------===//
+
+using Problems = std::vector<std::string>;
+
+/// entry: %a = add x, 1; ret %a
+std::unique_ptr<Function> buildAddFunction(const std::string &Name) {
+  auto F = std::make_unique<Function>(Name, std::vector<Type>{Type::intTy()},
+                                      std::vector<std::string>{"x"},
+                                      Type::intTy());
+  IRBuilder B(*F, F->addBlock("entry"));
+  B.ret(B.binop(BinOpInst::Opcode::Add, F->arg(0), B.constInt(1)));
+  return F;
+}
+
+/// entry: br c, then, else; then, else: jump merge; merge: ret. Tests add
+/// instructions through at() before finish() terminates the three blocks.
+struct Diamond {
+  Function F{"f", {Type::boolTy(), Type::intTy()}, {"c", "x"}, Type::intTy()};
+  BasicBlock *Entry = F.addBlock("entry");
+  BasicBlock *Then = F.addBlock("then");
+  BasicBlock *Else = F.addBlock("else");
+  BasicBlock *Merge = F.addBlock("merge");
+  IRBuilder B{F, Entry};
+
+  Diamond() { B.branch(F.arg(0), Then, Else); }
+  IRBuilder &at(BasicBlock *BB) {
+    B.setInsertBlock(BB);
+    return B;
+  }
+  void finish(Value *Result) {
+    at(Then).jump(Merge);
+    at(Else).jump(Merge);
+    at(Merge).ret(Result);
+  }
+};
+
+TEST(VerifierBatteryTest, WellFormedShapesVerify) {
+  EXPECT_EQ(verifyFunction(*buildAddFunction("f")), Problems{});
+  Diamond D;
+  PhiInst *Phi = D.at(D.Merge).phi(Type::intTy());
+  Phi->addIncoming(D.F.constInt(1), D.Then);
+  Phi->addIncoming(D.F.arg(1), D.Else);
+  D.finish(Phi);
+  EXPECT_EQ(verifyFunction(D.F), Problems{});
+}
+
+TEST(VerifierBatteryTest, FunctionWithoutBlocks) {
+  Function F("f", {}, {}, Type::voidTy());
+  EXPECT_EQ(verifyFunction(F), Problems{"[f] function has no blocks"});
+}
+
+TEST(VerifierBatteryTest, EntryBlockWithPredecessors) {
+  Function F("f", {}, {}, Type::voidTy());
+  BasicBlock *Entry = F.addBlock("entry");
+  BasicBlock *Next = F.addBlock("next");
+  IRBuilder B(F, Entry);
+  B.jump(Next);
+  B.setInsertBlock(Next);
+  B.jump(Entry);
+  EXPECT_EQ(verifyFunction(F), Problems{"[f] entry block has predecessors"});
+}
+
+TEST(VerifierBatteryTest, EmptyBlock) {
+  Function F("f", {}, {}, Type::voidTy());
+  BasicBlock *Entry = F.addBlock("entry");
+  BasicBlock *Next = F.addBlock("next");
+  IRBuilder(F, Entry).jump(Next);
+  EXPECT_EQ(verifyFunction(F), Problems{"[f] block next is empty"});
+}
+
+TEST(VerifierBatteryTest, BrokenParentLink) {
+  auto F = buildAddFunction("f");
+  auto G = buildAddFunction("g");
+  Instruction *Add = F->entry()->front();
+  Add->setParent(G->entry());
+  EXPECT_EQ(verifyFunction(*F),
+            Problems{"[f] instruction parent link broken in entry"});
+  Add->setParent(F->entry());
+  EXPECT_EQ(verifyFunction(*F), Problems{});
+}
+
+TEST(VerifierBatteryTest, PhiAfterNonPhi) {
+  Function F("f", {}, {}, Type::voidTy());
+  BasicBlock *Entry = F.addBlock("entry");
+  IRBuilder B(F, Entry);
+  B.print(B.constInt(1));
+  B.ret();
+  Entry->insertAt(1, std::make_unique<PhiInst>(Type::intTy()));
+  EXPECT_EQ(verifyFunction(F), Problems{"[f] phi after non-phi in entry"});
+}
+
+TEST(VerifierBatteryTest, UserMissingFromUseList) {
+  auto F = buildAddFunction("f");
+  Instruction *Add = F->entry()->front();
+  F->arg(0)->removeUser(Add);
+  EXPECT_EQ(verifyFunction(*F),
+            Problems{"[f] use-list out of sync for a value"});
+  F->arg(0)->addUser(Add);
+  EXPECT_EQ(verifyFunction(*F), Problems{});
+}
+
+TEST(VerifierBatteryTest, ExtraUserInUseList) {
+  auto F = buildAddFunction("f");
+  Instruction *Add = F->entry()->front();
+  Instruction *Ret = F->entry()->terminator();
+  // The add's use list names the return twice, the argument's names it once
+  // although the return never reads the argument.
+  Add->addUser(Ret);
+  F->arg(0)->addUser(Ret);
+  EXPECT_EQ(verifyFunction(*F),
+            (Problems{"[f] use-list out of sync for a value",
+                      "[f] use-list out of sync for a value"}));
+  F->arg(0)->removeUser(Ret);
+  Add->removeUser(Ret);
+  EXPECT_EQ(verifyFunction(*F), Problems{});
+}
+
+TEST(VerifierBatteryTest, OperandFromAnotherFunction) {
+  auto G = buildAddFunction("g");
+  Function F("f", {Type::intTy()}, {"x"}, Type::intTy());
+  IRBuilder B(F, F.addBlock("entry"));
+  B.ret(B.binop(BinOpInst::Opcode::Add, G->arg(0), B.constInt(1)));
+  EXPECT_EQ(verifyFunction(F),
+            Problems{"[f] operand defined outside the function"});
+  // g's argument now lists a user that is not one of g's instructions.
+  EXPECT_EQ(verifyFunction(*G),
+            Problems{"[g] use-list out of sync for a value"});
+}
+
+TEST(VerifierBatteryTest, PredecessorListOutOfSync) {
+  Function F("f", {}, {}, Type::voidTy());
+  BasicBlock *Entry = F.addBlock("entry");
+  BasicBlock *Next = F.addBlock("next");
+  IRBuilder B(F, Entry);
+  B.jump(Next);
+  B.setInsertBlock(Next);
+  B.ret();
+  Next->addPredecessor(Entry); // A second entry->next edge no jump makes.
+  EXPECT_EQ(verifyFunction(F),
+            Problems{"[f] predecessor list out of sync for next"});
+  Next->removePredecessor(Entry);
+  Next->removePredecessor(Entry);
+  Next->addPredecessor(Next); // The wrong predecessor, right count.
+  EXPECT_EQ(verifyFunction(F),
+            Problems{"[f] predecessor list out of sync for next"});
+  Next->removePredecessor(Next);
+  Next->addPredecessor(Entry);
+  EXPECT_EQ(verifyFunction(F), Problems{});
+}
+
+TEST(VerifierBatteryTest, PhiWithDuplicateIncomingEdge) {
+  Diamond D;
+  PhiInst *Phi = D.at(D.Merge).phi(Type::intTy());
+  Phi->addIncoming(D.F.constInt(1), D.Then);
+  Phi->addIncoming(D.F.constInt(2), D.Else);
+  Phi->addIncoming(D.F.constInt(3), D.Then);
+  D.finish(Phi);
+  EXPECT_EQ(verifyFunction(D.F),
+            Problems{"[f] phi in merge has a duplicate incoming edge"});
+}
+
+TEST(VerifierBatteryTest, PhiMissingPredecessorEntry) {
+  Diamond D;
+  PhiInst *Phi = D.at(D.Merge).phi(Type::intTy());
+  Phi->addIncoming(D.F.constInt(1), D.Then);
+  D.finish(Phi);
+  EXPECT_EQ(verifyFunction(D.F),
+            Problems{"[f] phi in merge misses a predecessor entry"});
+}
+
+TEST(VerifierBatteryTest, PhiIncomingFromNonPredecessor) {
+  Diamond D;
+  PhiInst *Phi = D.at(D.Merge).phi(Type::intTy());
+  Phi->addIncoming(D.F.constInt(1), D.Then);
+  Phi->addIncoming(D.F.constInt(2), D.Entry);
+  D.finish(Phi);
+  // Two distinct incoming blocks for two predecessors: the entry count
+  // matches, so only the stray edge is reported.
+  EXPECT_EQ(
+      verifyFunction(D.F),
+      Problems{"[f] phi in merge has an incoming edge from a non-predecessor"});
+}
+
+TEST(VerifierBatteryTest, DefInAnotherBlockDoesNotDominateUse) {
+  Diamond D;
+  Value *A = D.at(D.Then).binop(BinOpInst::Opcode::Add, D.F.arg(1),
+                                D.F.constInt(1));
+  Value *Sum = D.at(D.Merge).binop(BinOpInst::Opcode::Add, A, D.F.constInt(1));
+  D.finish(Sum);
+  EXPECT_EQ(verifyFunction(D.F),
+            Problems{"[f] operand def does not dominate use in merge"});
+}
+
+TEST(VerifierBatteryTest, PhiOperandDoesNotDominateIncomingBlock) {
+  Diamond D;
+  Value *A = D.at(D.Then).binop(BinOpInst::Opcode::Add, D.F.arg(1),
+                                D.F.constInt(1));
+  PhiInst *Phi = D.at(D.Merge).phi(Type::intTy());
+  Phi->addIncoming(A, D.Then); // Fine: then defines A.
+  Phi->addIncoming(A, D.Else); // Not fine: A is not defined on that edge.
+  D.finish(Phi);
+  EXPECT_EQ(
+      verifyFunction(D.F),
+      Problems{"[f] phi operand does not dominate incoming block in merge"});
+}
+
+TEST(VerifierBatteryTest, GuardPlacementRules) {
+  Function F("f", {Type::intTy()}, {"x"}, Type::voidTy());
+  BasicBlock *Entry = F.addBlock("entry");
+  BasicBlock *Pass = F.addBlock("pass");
+  BasicBlock *Fail = F.addBlock("fail");
+  IRBuilder B(F, Entry);
+  B.guard(F.arg(0), 0, Pass, Fail); // An int receiver...
+  B.setInsertBlock(Pass);
+  B.ret();
+  B.setInsertBlock(Fail);
+  B.ret(); // ...and a fail edge that returns instead of deoptimizing.
+  EXPECT_EQ(verifyFunction(F),
+            (Problems{"[f] guard in entry tests a non-object receiver",
+                      "[f] guard in entry has a fail successor that neither "
+                      "deopts nor jumps toward a deopt"}));
+}
+
+TEST(VerifierBatteryTest, DeoptFrameStateRules) {
+  Function F("f", {Type::intTy()}, {"x"}, Type::voidTy());
+  IRBuilder B(F, F.addBlock("entry"));
+  B.deopt("test", FrameState{}, {F.arg(0)});
+  EXPECT_EQ(
+      verifyFunction(F),
+      (Problems{"[f] deopt frame state without a baseline symbol in entry",
+                "[f] deopt frame state in entry has 0 slots for 1 captured "
+                "operands"}));
+}
+
+TEST(VerifierBatteryTest, OsrEntryOutsideAnOsrVariant) {
+  Function F("f", {}, {}, Type::voidTy());
+  BasicBlock *Entry = F.addBlock("entry");
+  BasicBlock *Next = F.addBlock("next");
+  IRBuilder B(F, Entry);
+  B.osrEntry(FrameStateSlot{}, Type::intTy());
+  B.jump(Next);
+  B.setInsertBlock(Next);
+  B.osrEntry(FrameStateSlot{}, Type::voidTy());
+  B.ret();
+  EXPECT_EQ(
+      verifyFunction(F),
+      (Problems{"[f] osr entry in a function without an OSR anchor (entry)",
+                "[f] osr entry in a function without an OSR anchor (next)",
+                "[f] osr entry outside the entry block (next)",
+                "[f] osr entry with void type in next"}));
+}
+
+//===----------------------------------------------------------------------===//
+// The id contract (Function::instIdBound): ids stay unique per function
+// unless an instruction moves across functions, which the verifier reports.
+//===----------------------------------------------------------------------===//
+
+TEST(InstIdContractTest, IdsAreUniqueAndBelowTheBound) {
+  auto F = buildLoopFunction();
+  std::set<unsigned> Ids;
+  for (const auto &BB : F->blocks()) {
+    EXPECT_LT(BB->id(), F->blockIdBound());
+    for (const auto &Inst : BB->instructions()) {
+      EXPECT_GE(Inst->instId(), 1u);
+      EXPECT_LT(Inst->instId(), F->instIdBound());
+      EXPECT_TRUE(Ids.insert(Inst->instId()).second);
+    }
+  }
+  // Removal frees no id for reuse.
+  unsigned BlockBound = F->blockIdBound();
+  BasicBlock *Extra = F->addBlock("extra");
+  IRBuilder(*F, Extra).ret(F->constInt(0));
+  unsigned ExtraId = Extra->id();
+  F->removeBlock(Extra);
+  EXPECT_EQ(ExtraId, BlockBound);
+  EXPECT_EQ(F->addBlock("again")->id(), BlockBound + 1);
+}
+
+TEST(InstIdContractTest, VerifierReportsASharedInstructionId) {
+  // g outlives f: the moved add keeps using g's constants.
+  Function G("g", {}, {}, Type::voidTy());
+  auto F = buildAddFunction("f");
+  IRBuilder B(G, G.addBlock("entry"));
+  Instruction *Moved =
+      B.binop(BinOpInst::Opcode::Add, B.constInt(1), B.constInt(2));
+  B.ret();
+  ASSERT_EQ(Moved->instId(), F->entry()->front()->instId());
+  // A move across functions keeps the id, which f's add already has.
+  F->entry()->insertAt(0, G.entry()->detach(Moved));
+  EXPECT_EQ(verifyFunction(*F),
+            Problems{"[f] instruction id 1 in entry is shared with another "
+                     "instruction"});
+}
+
+TEST(InstIdContractTest, VerifierReportsAnInstructionIdOutOfRange) {
+  Function G("g", {}, {}, Type::voidTy());
+  auto F = buildAddFunction("f");
+  IRBuilder B(G, G.addBlock("entry"));
+  Instruction *Moved = nullptr;
+  for (int I = 0; I < 4; ++I)
+    Moved = B.binop(BinOpInst::Opcode::Add, B.constInt(I), B.constInt(2));
+  B.ret();
+  ASSERT_GE(Moved->instId(), F->instIdBound());
+  F->entry()->insertAt(0, G.entry()->detach(Moved));
+  EXPECT_EQ(verifyFunction(*F),
+            Problems{"[f] instruction id 4 in entry is outside the function's "
+                     "id range"});
+  // The moved add is still tracked as one of f's values: its use list,
+  // which holds no f user, is checked like any other.
+  Moved->addUser(F->entry()->terminator());
+  EXPECT_EQ(verifyFunction(*F),
+            (Problems{"[f] instruction id 4 in entry is outside the "
+                      "function's id range",
+                      "[f] use-list out of sync for a value"}));
+  Moved->removeUser(F->entry()->terminator());
+}
+
+TEST(VerifierTighteningTest, EdgeToAnotherFunction) {
+  auto G = buildAddFunction("g");
+  Function F("f", {}, {}, Type::voidTy());
+  IRBuilder(F, F.addBlock("entry")).jump(G->entry());
+  EXPECT_EQ(verifyFunction(F),
+            Problems{"[f] edge from entry to a block that is not a block of "
+                     "this function"});
+  F.entry()->erase(F.entry()->terminator());
+}
+
+TEST(VerifierBatteryTest, OsrEntryAfterOtherInstructions) {
+  Function F("f", {}, {}, Type::voidTy());
+  F.setOsrAnchor({"f", 0});
+  IRBuilder B(F, F.addBlock("entry"));
+  B.osrEntry(FrameStateSlot{}, Type::intTy());
+  B.print(B.constInt(1));
+  B.osrEntry(FrameStateSlot{}, Type::intTy());
+  B.ret();
+  EXPECT_EQ(
+      verifyFunction(F),
+      Problems{"[f] osr entry after a non-osr-entry instruction in entry"});
 }
 
 } // namespace

@@ -11,13 +11,17 @@ changes. A results file looks like
 
     {"sides": {"parent": {"runs": [RUN, ...]}, "change": {"runs": [...]}}}
 
-where each RUN is {"workload", "seed", "trace", "result"} and "result" is the
-JSON line `perfbench/run.py` printed. Only `--trace 0` runs are compared: they
-carry the end-to-end metrics of BENCHMARK.json.
+where each RUN is {"pair", "workload", "seed", "trace", "result"} and
+"result" is the JSON line `perfbench/run.py` printed. Runs of the two sides
+with the same "pair" ran back to back. Only `--trace 0` runs are compared:
+they carry the end-to-end metrics of BENCHMARK.json.
 
 For every end-to-end metric of every workload found on both sides, prints the
 base median, the change median, the quartiles of each, and the relative
-change of the medians. Exits 1 if an exact metric (suite-steady's simulated
+change of the medians. Then the claim rule: of the pairs found on both sides,
+how many each side won (the better value under the metric's direction; ties
+count for neither), and whether the medians differ by more than the base
+side's interquartile range. Exits 1 if an exact metric (suite-steady's simulated
 cycles, |ir| and compile work, which repeat bit for bit) differs anywhere, or
 if a metric's median got worse by more than its bound in BENCHMARK.json;
 exits 2 on unreadable input; else 0.
@@ -44,7 +48,8 @@ class InputError(Exception):
 
 
 def load_side(spec):
-    """{workload: {metric: [values]}} of the trace-0 runs named by FILE[:SIDE]."""
+    """{workload: {metric: [(pair, value)]}} of the trace-0 runs named by
+    FILE[:SIDE]; pair is None for a run without one."""
     path, side = spec, "change"
     if ":" in spec and not os.path.exists(spec):
         path, side = spec.rsplit(":", 1)
@@ -62,7 +67,7 @@ def load_side(spec):
             continue
         metrics = values.setdefault(run["workload"], {})
         for name, m in run["result"]["metrics"].items():
-            metrics.setdefault(name, []).append(m["value"])
+            metrics.setdefault(name, []).append((run.get("pair"), m["value"]))
     return values
 
 
@@ -71,6 +76,16 @@ def quartiles(xs):
         return xs[0], xs[0]
     q = statistics.quantiles(xs, n=4, method="inclusive")
     return q[0], q[2]
+
+
+def pairs_won(base, change, better):
+    """(base wins, change wins, pairs on both sides) over the runs' pairs."""
+    b, c = dict(base), dict(change)
+    pairs = [p for p in b if p is not None and p in c]
+    sign = 1 if better == "lower" else -1
+    base_wins = sum(1 for p in pairs if sign * (b[p] - c[p]) < 0)
+    change_wins = sum(1 for p in pairs if sign * (c[p] - b[p]) < 0)
+    return base_wins, change_wins, len(pairs)
 
 
 def relative_worsening(base, change, better):
@@ -100,20 +115,24 @@ def main():
         print("%s (%d base runs, %d change runs)" % (
             workload, len(next(iter(base[workload].values()))),
             len(next(iter(change[workload].values())))))
-        print("  %-24s %14s %25s %14s %25s %9s %7s" % (
+        print("  %-24s %14s %25s %14s %25s %9s %7s %11s %7s" % (
             "metric", "base median", "base q1..q3", "change median",
-            "change q1..q3", "delta", "bound"))
+            "change q1..q3", "delta", "bound", "won b:c/n", "gap>iqr"))
         for m in end_to_end:
             name = m["name"]
-            b, c = base[workload].get(name), change[workload].get(name)
-            if not b or not c:
+            b_runs, c_runs = base[workload].get(name), change[workload].get(name)
+            if not b_runs or not c_runs:
                 failures.append("%s %s: missing on one side" % (workload, name))
                 continue
+            b, c = [v for _, v in b_runs], [v for _, v in c_runs]
             bm, cm = statistics.median(b), statistics.median(c)
             bq, cq = quartiles(b), quartiles(c)
             delta = (cm - bm) / abs(bm) if bm != 0 else 0.0
-            print("  %-24s %14.6g %12.6g..%-12.6g %14.6g %12.6g..%-12.6g %+8.2f%% %7g" % (
-                name, bm, bq[0], bq[1], cm, cq[0], cq[1], 100 * delta, m["bound"]))
+            won = "%d:%d/%d" % pairs_won(b_runs, c_runs, m["better"])
+            gap = "yes" if abs(cm - bm) > bq[1] - bq[0] else "no"
+            print("  %-24s %14.6g %12.6g..%-12.6g %14.6g %12.6g..%-12.6g %+8.2f%% %7g %11s %7s" % (
+                name, bm, bq[0], bq[1], cm, cq[0], cq[1], 100 * delta, m["bound"],
+                won, gap))
             if name in EXACT.get(workload, ()) and len(set(b + c)) != 1:
                 failures.append("%s %s: exact metric moved (%s -> %s)" % (
                     workload, name, sorted(set(b)), sorted(set(c))))
