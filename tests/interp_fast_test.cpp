@@ -10,9 +10,9 @@
 /// step and per-tier cycle totals, and recorded profile *content* — must be
 /// bit-identical to the reference map-frame core, including across deopt
 /// and OSR frame transfers, profile-decay ticks, and megamorphic callsites.
-/// Plus the Release-mode recovery hardening: a mismatched frame state and a
-/// use of an unevaluated value must trap instead of transferring a
-/// truncated frame / dereferencing a map end iterator.
+/// Plus the Release-mode recovery hardening: a frame transfer that does not
+/// resolve and a use of an unevaluated value must trap instead of
+/// transferring a truncated frame / dereferencing a map end iterator.
 ///
 /// Suites are named InterpFast* so the TSan CI job's -R filter picks up the
 /// multi-threaded ones.
@@ -30,6 +30,7 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -82,15 +83,18 @@ void expectBitEqual(const CoreRun &Fast, const CoreRun &Ref,
 }
 
 //===----------------------------------------------------------------------===//
-// Satellite 1: a frame state whose slot count disagrees with the captured
-// operands must trap unconditionally — in Release as much as in Debug.
+// Satellite 1: a transfer whose mapping does not resolve must trap
+// unconditionally, with the same message in both cores — in Release as
+// much as in Debug (a Release build must not transfer a truncated frame).
 //===----------------------------------------------------------------------===//
 
-/// A module with `base(x) = x` and `spec(x)` that immediately deopts into
-/// `base` with a *mismatched* frame state: two slots, one captured operand.
-/// The verifier rejects such code at install time; executing it directly
-/// exercises the interpreter's defense-in-depth path.
-std::unique_ptr<ir::Module> mismatchedDeoptModule() {
+/// A module with `base(x) = x` and `spec(x)`, which immediately deopts into
+/// `base` with a frame state capturing `x` as base's argument 0 — after
+/// \p Break has spoiled it. The verifier rejects every spoiled state at
+/// install time; executing it directly exercises the interpreter's
+/// defense-in-depth path.
+std::unique_ptr<ir::Module>
+brokenDeoptModule(const std::function<void(ir::FrameState &)> &Break) {
   auto M = std::make_unique<ir::Module>();
 
   ir::Function *Base =
@@ -110,23 +114,101 @@ std::unique_ptr<ir::Module> mismatchedDeoptModule() {
   FS.BaselineBlockId = BaseEntry->id();
   FS.ResumePoint = Ret->profileId();
   FS.Slots.push_back({ir::FrameStateSlot::Target::Argument, 0});
-  FS.Slots.push_back({ir::FrameStateSlot::Target::Argument, 0});
-  SB.deopt("mismatch", std::move(FS), {Spec->arg(0)}); // 2 slots, 1 operand.
+  Break(FS);
+  SB.deopt("broken", std::move(FS), {Spec->arg(0)});
   return M;
 }
 
+/// Offers \p Variant at the first CFG edge any body takes.
+class OfferOsrEnv : public interp::ModuleEnv {
+public:
+  OfferOsrEnv(const ir::Module &M, const ir::Function &Variant)
+      : ModuleEnv(M), Variant(Variant) {}
+
+  interp::ResolvedBody resolve(std::string_view Symbol) override {
+    interp::ResolvedBody Body = ModuleEnv::resolve(Symbol);
+    Body.OsrEligible = true;
+    return Body;
+  }
+  const ir::Function *onOsrEdge(std::string_view, const ir::BasicBlock &,
+                                const ir::BasicBlock &) override {
+    return &Variant;
+  }
+
+private:
+  const ir::Function &Variant;
+};
+
 TEST(InterpFastDeoptTest, SlotOperandMismatchTrapsInBothCores) {
+  using Slot = ir::FrameStateSlot;
+  struct Row {
+    const char *Name;
+    std::function<void(ir::FrameState &)> Break;
+    const char *Message;
+  };
+  const Row Rows[] = {
+      {"slot/operand mismatch", // Two slots, one captured operand.
+       [](ir::FrameState &FS) {
+         FS.Slots.push_back({Slot::Target::Argument, 0});
+       },
+       "deoptimization (frame-state slot/operand mismatch in base)"},
+      {"unknown baseline",
+       [](ir::FrameState &FS) { FS.BaselineSymbol = "nope"; },
+       "deoptimization (no baseline nope)"},
+      {"missing block", [](ir::FrameState &FS) { FS.BaselineBlockId = 999; },
+       "deoptimization (unresolved resume point in base)"},
+      {"resume point not found",
+       [](ir::FrameState &FS) { FS.ResumePoint = 999; },
+       "deoptimization (unresolved resume point in base)"},
+      {"argument slot out of range",
+       [](ir::FrameState &FS) { FS.Slots[0] = {Slot::Target::Argument, 1}; },
+       "deoptimization (unresolved frame-state slot in base)"},
+      {"missing instruction slot",
+       [](ir::FrameState &FS) {
+         FS.Slots[0] = {Slot::Target::Instruction, 999};
+       },
+       "deoptimization (unresolved frame-state slot in base)"},
+  };
+  for (const Row &Case : Rows) {
+    for (auto Opts : {fastOpts(), referenceOpts()}) {
+      SCOPED_TRACE(std::string(Case.Name) +
+                   (Opts.Mode == interp::InterpMode::Fast ? ", fast"
+                                                          : ", reference"));
+      auto M = brokenDeoptModule(Case.Break);
+      interp::ModuleEnv Env(*M);
+      interp::Interpreter Interp(*M, Env, interp::CostModel(),
+                                 interp::ExecLimits(), Opts);
+      interp::ExecResult R =
+          Interp.run("spec", {interp::RtValue::intVal(7)});
+      EXPECT_EQ(R.Trap, interp::TrapKind::Deoptimization);
+      EXPECT_EQ(R.TrapMessage, Case.Message);
+    }
+  }
+
+  // The OSR direction: a variant of `f` whose one entry reads a baseline
+  // instruction `f` does not have, offered at f's first CFG edge.
   for (auto Opts : {fastOpts(), referenceOpts()}) {
-    auto M = mismatchedDeoptModule();
-    interp::ModuleEnv Env(*M);
+    SCOPED_TRACE(Opts.Mode == interp::InterpMode::Fast ? "osr, fast"
+                                                       : "osr, reference");
+    auto M = compile(R"(
+def f(n: int): int {
+  var i = 0;
+  while (i < n) { i = i + 1; }
+  return i;
+}
+)");
+    ir::Function Variant("f.osr", {types::Type::intTy()}, {"n"},
+                         types::Type::intTy());
+    ir::IRBuilder B(Variant, Variant.addBlock("osr.entry"));
+    B.ret(B.osrEntry({Slot::Target::Instruction, 999}, types::Type::intTy()));
+    Variant.setOsrAnchor({"f", M->function("f")->entry()->id()});
+    OfferOsrEnv Env(*M, Variant);
     interp::Interpreter Interp(*M, Env, interp::CostModel(),
                                interp::ExecLimits(), Opts);
-    interp::ExecResult R =
-        Interp.run("spec", {interp::RtValue::intVal(7)});
+    interp::ExecResult R = Interp.run("f", {interp::RtValue::intVal(3)});
     EXPECT_EQ(R.Trap, interp::TrapKind::Deoptimization);
-    EXPECT_NE(R.TrapMessage.find("frame-state slot/operand mismatch"),
-              std::string::npos)
-        << R.TrapMessage;
+    EXPECT_EQ(R.TrapMessage,
+              "deoptimization (unresolved osr entry slot in f.osr)");
   }
 }
 
@@ -359,31 +441,46 @@ TEST(InterpFastEquivalenceTest, ForcedOsrAndGuardFailureTransfersMatch) {
   // Every iteration crosses deopt and OSR frame transfers in both
   // directions; outputs, cycle totals and the final profile tables must
   // stay bit-equal between the cores, and the compile streams must be
-  // fingerprint-identical (sync mode is schedule-free).
-  std::string Output[2], Profiles[2], Stream[2];
-  uint64_t Interp[2] = {0, 0}, Compiled[2] = {0, 0};
-  int Core = 0;
-  for (auto Mode :
-       {interp::InterpMode::Fast, interp::InterpMode::Reference}) {
-    auto M = compile(TransferSource);
-    inliner::IncrementalCompiler Compiler;
-    jit::JitRuntime Runtime(*M, Compiler, transferConfig(Mode));
-    for (int Iter = 0; Iter < 8; ++Iter) {
-      interp::ExecResult R = Runtime.runMain();
-      ASSERT_TRUE(R.ok()) << R.TrapMessage;
-      Output[Core] = std::move(R.Output);
-      Interp[Core] += R.InterpretedCycles;
-      Compiled[Core] += R.CompiledCycles;
+  // fingerprint-identical (sync mode is schedule-free). The second config
+  // also forces cold-branch prunes, so the third transfer kind — an
+  // uncommon trap resuming at a block's first non-phi instruction — is
+  // taken too.
+  for (bool ForcePrunes : {false, true}) {
+    SCOPED_TRACE(ForcePrunes ? "forced prunes" : "no prunes");
+    std::string Output[2], Profiles[2], Stream[2];
+    uint64_t Interp[2] = {0, 0}, Compiled[2] = {0, 0};
+    uint64_t ColdBranchDeopts[2] = {0, 0};
+    int Core = 0;
+    for (auto Mode :
+         {interp::InterpMode::Fast, interp::InterpMode::Reference}) {
+      auto M = compile(TransferSource);
+      inliner::IncrementalCompiler Compiler;
+      jit::JitConfig Config = transferConfig(Mode);
+      if (ForcePrunes)
+        Config.ForceColdBranch = [](std::string_view, unsigned) {
+          return true;
+        };
+      jit::JitRuntime Runtime(*M, Compiler, Config);
+      for (int Iter = 0; Iter < 8; ++Iter) {
+        interp::ExecResult R = Runtime.runMain();
+        ASSERT_TRUE(R.ok()) << R.TrapMessage;
+        Output[Core] = std::move(R.Output);
+        Interp[Core] += R.InterpretedCycles;
+        Compiled[Core] += R.CompiledCycles;
+      }
+      Profiles[Core] = Runtime.profileTable().dump();
+      Stream[Core] = jit::streamFingerprint(Runtime.compilations());
+      ColdBranchDeopts[Core] = Runtime.stats().ColdBranchDeopts;
+      ++Core;
     }
-    Profiles[Core] = Runtime.profileTable().dump();
-    Stream[Core] = jit::streamFingerprint(Runtime.compilations());
-    ++Core;
+    EXPECT_EQ(Output[0], Output[1]);
+    EXPECT_EQ(Interp[0], Interp[1]);
+    EXPECT_EQ(Compiled[0], Compiled[1]);
+    EXPECT_EQ(Profiles[0], Profiles[1]);
+    EXPECT_EQ(Stream[0], Stream[1]);
+    EXPECT_EQ(ColdBranchDeopts[0], ColdBranchDeopts[1]);
+    EXPECT_EQ(ColdBranchDeopts[0] > 0, ForcePrunes);
   }
-  EXPECT_EQ(Output[0], Output[1]);
-  EXPECT_EQ(Interp[0], Interp[1]);
-  EXPECT_EQ(Compiled[0], Compiled[1]);
-  EXPECT_EQ(Profiles[0], Profiles[1]);
-  EXPECT_EQ(Stream[0], Stream[1]);
 }
 
 TEST(InterpFastEquivalenceTest, ProfileDecayTicksKeepCoresBitEqual) {
