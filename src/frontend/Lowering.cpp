@@ -122,7 +122,7 @@ private:
     auto Phi = std::make_unique<PhiInst>(Ty);
     Phi->setProfileId(F.takeNextProfileId());
     PhiInst *Raw = Phi.get();
-    BB->insertAt(BB->phis().size(), std::move(Phi));
+    BB->insertAt(BB->numPhis(), std::move(Phi));
     return Raw;
   }
 

@@ -14,59 +14,55 @@
 using namespace incline;
 using namespace incline::interp;
 
-DecodedBody::DecodedBody(const ir::Function &Fn, const CostModel &Costs)
-    : F(&Fn) {
-  // Pass 1: assign a dense frame slot to every argument and every non-void
-  // value (phis included), function-wide, so operands defined in later
-  // blocks (phi inputs along backedges) already have slots in pass 2.
-  std::unordered_map<const ir::Value *, int32_t> SlotOf;
-  for (const auto &Arg : Fn.args())
-    SlotOf[Arg.get()] = int32_t(NumSlots++);
-  SlotByProfileId.assign(Fn.nextProfileIdWatermark(), -1);
+DecodedBody::DecodedBody(const ir::Function &Fn, const CostModel &Costs) {
+  // Pass 1: assign a dense frame slot to every argument (its index) and
+  // every non-void instruction (phis included), function-wide, so operands
+  // defined in later blocks (phi inputs along backedges) already have slots
+  // in pass 2.
+  NumSlots = uint32_t(Fn.numParams());
+  SlotByInstId.assign(Fn.instIdBound(), -1);
   for (const auto &BB : Fn.blocks())
     for (const auto &I : BB->instructions())
       if (!I->type().isVoid()) {
-        int32_t Slot = int32_t(NumSlots++);
-        SlotOf[I.get()] = Slot;
-        if (I->profileId() < SlotByProfileId.size())
-          SlotByProfileId[I->profileId()] = Slot;
+        assert(I->instId() < SlotByInstId.size() &&
+               SlotByInstId[I->instId()] < 0 &&
+               "instruction id outside the function's id contract");
+        SlotByInstId[I->instId()] = int32_t(NumSlots++);
       }
 
   // Constants live in a read-only tail after the value slots, so operand
   // reads never branch on "constant or not".
   std::unordered_map<const ir::Value *, int32_t> ConstRef;
-  auto refOf = [&](const ir::Value *V) -> int32_t {
-    auto It = SlotOf.find(V);
-    if (It != SlotOf.end())
-      return It->second;
+  auto operandRef = [&](const ir::Value *V) -> int32_t {
+    if (!isa<ir::Constant>(V)) {
+      int32_t Ref = refOf(*V);
+      assert(Ref >= 0 && "operand is neither slotted nor a constant");
+      return Ref;
+    }
     auto [CIt, New] = ConstRef.try_emplace(V, 0);
     if (New) {
       CIt->second = int32_t(NumSlots + ConstPool.size());
+      ConstValues.push_back(V);
       if (const auto *CI = dyn_cast<ir::ConstInt>(V))
         ConstPool.push_back(RtValue::intVal(CI->value()));
       else if (const auto *CB = dyn_cast<ir::ConstBool>(V))
         ConstPool.push_back(RtValue::boolVal(CB->value()));
-      else {
-        assert(isa<ir::ConstNull>(V) && "operand is neither slotted nor a "
-                                        "constant");
+      else
         ConstPool.push_back(RtValue::nullVal());
-      }
     }
     return CIt->second;
   };
 
-  BlockById.assign(Fn.blocks().size(), -1);
+  std::vector<uint32_t> BlockById(Fn.blockIdBound(), UINT32_MAX);
   for (const auto &BB : Fn.blocks()) {
-    if (BB->id() >= BlockById.size())
-      BlockById.resize(BB->id() + 1, -1);
-    BlockById[BB->id()] = int32_t(Blocks.size());
+    BlockById[BB->id()] = uint32_t(Blocks.size());
     Blocks.push_back({});
     Blocks.back().BB = BB.get();
   }
   auto blockIdx = [&](const ir::BasicBlock *BB) {
-    int32_t Idx = BlockById[BB->id()];
-    assert(Idx >= 0);
-    return uint32_t(Idx);
+    assert(BB->id() < BlockById.size() && BlockById[BB->id()] != UINT32_MAX &&
+           "successor outside the function");
+    return BlockById[BB->id()];
   };
 
   // Pass 2: decode phis into per-edge move lists and everything else into
@@ -76,10 +72,7 @@ DecodedBody::DecodedBody(const ir::Function &Fn, const CostModel &Costs)
     const ir::BasicBlock &BB = *Fn.blocks()[BI];
     Block &Blk = Blocks[BI];
 
-    size_t PhiEnd = 0;
-    while (PhiEnd < BB.instructions().size() &&
-           BB.instructions()[PhiEnd]->kind() == ir::ValueKind::Phi)
-      ++PhiEnd;
+    size_t PhiEnd = BB.numPhis();
     Blk.NumPhis = uint32_t(PhiEnd);
 
     // One move list per *unique* predecessor: `predecessors()` repeats a
@@ -99,7 +92,7 @@ DecodedBody::DecodedBody(const ir::Function &Fn, const CostModel &Costs)
         const auto *Phi = cast<ir::PhiInst>(BB.instructions()[P].get());
         ir::Value *In = Phi->incomingValueFor(Pred);
         assert(In && "phi lacks an incoming value for a predecessor");
-        Moves.push_back({SlotOf.at(Phi), refOf(In)});
+        Moves.push_back({refOf(*Phi), operandRef(In)});
       }
       Ed.MovesCount = uint32_t(Moves.size()) - Ed.MovesBegin;
       Edges.push_back(Ed);
@@ -113,11 +106,10 @@ DecodedBody::DecodedBody(const ir::Function &Fn, const CostModel &Costs)
       DI.I = &I;
       DI.Kind = I.kind();
       DI.Cost = uint32_t(Costs.opCost(I));
-      if (auto It = SlotOf.find(&I); It != SlotOf.end())
-        DI.Dest = It->second;
+      DI.Dest = refOf(I);
       DI.FirstOp = uint32_t(Ops.size());
       for (ir::Value *Op : I.operands())
-        Ops.push_back(refOf(Op));
+        Ops.push_back(operandRef(Op));
       DI.NumOps = uint32_t(Ops.size()) - DI.FirstOp;
 
       switch (I.kind()) {
@@ -173,22 +165,28 @@ DecodedBody::DecodedBody(const ir::Function &Fn, const CostModel &Costs)
     Blk.NumInsts = uint32_t(Insts.size()) - Blk.FirstInst;
   }
 
-  // OSR variants: decode the entry block's leading OsrEntry run so the OSR
-  // transfer is a table walk. The entry block has no phis, so decoded-inst
-  // index == instruction index and OsrLeadCount doubles as the post-entry
-  // resume index.
-  if (Fn.osrAnchor() && !Fn.blocks().empty()) {
-    for (const auto &I : Fn.entry()->instructions()) {
-      const auto *OE = dyn_cast<ir::OsrEntryInst>(I.get());
-      if (!OE)
-        break;
-      OsrEntries.push_back({SlotOf.at(OE), OE->source()});
-    }
-    OsrLeadCount = uint32_t(OsrEntries.size());
-  }
-
   BranchCache.assign(NumBranches, nullptr);
   Pics.assign(NumVCalls, Pic{});
+}
+
+int32_t DecodedBody::refOf(const ir::Value &V) const {
+  if (const auto *A = dyn_cast<ir::Argument>(&V))
+    return int32_t(A->index());
+  if (const auto *I = dyn_cast<ir::Instruction>(&V))
+    return I->instId() < SlotByInstId.size() ? SlotByInstId[I->instId()] : -1;
+  for (size_t C = 0; C < ConstValues.size(); ++C)
+    if (ConstValues[C] == &V)
+      return int32_t(NumSlots + C);
+  return -1;
+}
+
+uint32_t DecodedBody::blockIndexOf(const ir::BasicBlock &BB) const {
+  uint32_t Idx = 0;
+  while (Blocks[Idx].BB != &BB) {
+    ++Idx;
+    assert(Idx < Blocks.size() && "block of another function");
+  }
+  return Idx;
 }
 
 void DecodedBody::flushProfileCaches(profile::ProfileTable *Profiles,

@@ -119,17 +119,8 @@ public:
     uint32_t NumPhis = 0;
   };
 
-  /// One leading OsrEntryInst of an OSR variant's entry block, decoded to
-  /// "destination slot <- baseline frame-state slot".
-  struct OsrEntryDesc {
-    int32_t DestSlot = 0;
-    ir::FrameStateSlot Source;
-  };
-
   DecodedBody(const ir::Function &F, const CostModel &Costs);
 
-  const ir::Function &function() const { return *F; }
-  uint32_t numValueSlots() const { return NumSlots; }
   uint32_t frameSize() const { return NumSlots + uint32_t(ConstPool.size()); }
 
   /// A fresh frame: value slots null (poisoned past the arguments in
@@ -147,17 +138,13 @@ public:
     return Frame;
   }
 
-  /// Decoded index of block id \p Id, or -1. Block ids are dense but not
-  /// guaranteed to equal their position.
-  int32_t blockIndexOf(unsigned Id) const {
-    return Id < BlockById.size() ? BlockById[Id] : -1;
-  }
+  /// Frame reference of \p V, a value of this body's function: an argument
+  /// by index, an instruction by instId, a constant by pool index. -1 for a
+  /// void instruction or a constant no operand reads.
+  int32_t refOf(const ir::Value &V) const;
 
-  /// Frame slot of the non-void instruction with \p ProfileId, or -1.
-  int32_t slotOfProfileId(unsigned ProfileId) const {
-    return ProfileId < SlotByProfileId.size() ? SlotByProfileId[ProfileId]
-                                              : -1;
-  }
+  /// Decoded index of \p BB, a block of this body's function.
+  uint32_t blockIndexOf(const ir::BasicBlock &BB) const;
 
   //===--------------------------------------------------------------------===//
   // Immutable decode tables (filled by the constructor).
@@ -169,10 +156,8 @@ public:
   std::vector<Edge> Edges;
   std::vector<Block> Blocks;
   std::vector<RtValue> ConstPool;
-  std::vector<int32_t> BlockById;
-  std::vector<int32_t> SlotByProfileId;
-  std::vector<OsrEntryDesc> OsrEntries;
-  uint32_t OsrLeadCount = 0;
+  std::vector<const ir::Value *> ConstValues; ///< Parallel to ConstPool.
+  std::vector<int32_t> SlotByInstId;          ///< -1 for void results.
 
   //===--------------------------------------------------------------------===//
   // Mutator-owned profile caches (interned handles + PICs). Guarded by
@@ -214,7 +199,6 @@ public:
 private:
   void flushProfileCaches(profile::ProfileTable *Profiles, uint64_t Epoch);
 
-  const ir::Function *F = nullptr;
   uint32_t NumSlots = 0;
 };
 

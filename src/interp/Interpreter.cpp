@@ -23,12 +23,13 @@
 
 #include "interp/DecodedBody.h"
 #include "ir/ArithSemantics.h"
+#include "ir/FrameMapping.h"
 #include "support/Cancellation.h"
 #include "support/Casting.h"
 #include "support/ErrorHandling.h"
 #include "support/StringUtils.h"
 
-#include <chrono>
+#include <optional>
 #include <unordered_map>
 
 using namespace incline;
@@ -130,8 +131,106 @@ private:
   }
 
   //===------------------------------------------------------------------===//
+  // Frame transfers (DESIGN.md §9, §11). Both cores resolve an
+  // ir::FrameMapping here, at transfer time, and apply it to their own
+  // frame type in their one transfer().
+  //===------------------------------------------------------------------===//
+
+  /// The transfer \p D asks for, or nullopt after trapping when it has
+  /// none. A deopt without a frame state marks a point the compiled code
+  /// believed unreachable: nothing to recover to. A frame state that does
+  /// not resolve was rejected by the verifier at install time, so its trap
+  /// is defense in depth, not a supported path — and a Release build must
+  /// not transfer a truncated frame either.
+  std::optional<FrameMapping> deoptMapping(const DeoptInst &D) {
+    if (!D.hasFrameState()) {
+      trap(TrapKind::Deoptimization, D.reason());
+      return std::nullopt;
+    }
+    FrameMappingResult R = resolveDeopt(D, M);
+    std::string Why;
+    switch (R.Error) {
+    case FrameMappingError::None:
+      return std::move(R.Map);
+    case FrameMappingError::UnknownBaseline:
+      Why = "no baseline ";
+      break;
+    case FrameMappingError::MissingBlock:
+    case FrameMappingError::ResumeNotFound:
+      Why = "unresolved resume point in ";
+      break;
+    case FrameMappingError::SlotCountMismatch:
+      Why = "frame-state slot/operand mismatch in ";
+      break;
+    case FrameMappingError::UnresolvedSlot:
+      Why = "unresolved frame-state slot in ";
+      break;
+    }
+    trap(TrapKind::Deoptimization, Why + D.frameState().BaselineSymbol);
+    return std::nullopt;
+  }
+
+  /// The OSR entry from \p Baseline, the body the frame runs, into
+  /// \p Variant; nullopt after trapping when an entry slot does not resolve
+  /// (defense in depth again: verifyOsrEntries rejects such code).
+  std::optional<FrameMapping> osrMapping(const Function &Variant,
+                                         const Function &Baseline) {
+    FrameMappingResult R = resolveOsrEntry(Variant, Baseline);
+    if (R.ok())
+      return std::move(R.Map);
+    trap(TrapKind::Deoptimization,
+         "unresolved osr entry slot in " + Variant.name());
+    return std::nullopt;
+  }
+
+  /// Points \p Body at \p Map's target: the interpreted baseline after a
+  /// deoptimization \p Deopt, compiled OSR code when \p Deopt is null.
+  void retarget(ResolvedBody &Body, const FrameMapping &Map,
+                const DeoptInst *Deopt) {
+    if (Deopt) {
+      // Report before leaving: the JIT runtime invalidates the compiled
+      // code here. The retired Function stays alive (the runtime parks it
+      // in a graveyard), and with it its decoded body, because the
+      // caller's C++ frame still references both.
+      Env.onDeopt(Body.ProfileName, *Deopt);
+      Body.ProfileName = Deopt->frameState().BaselineSymbol;
+    }
+    Body.F = Map.Target;
+    Body.Compiled = !Deopt;
+  }
+
+  //===------------------------------------------------------------------===//
   // Fast core: pre-decoded bodies, slot frames, inline caches.
   //===------------------------------------------------------------------===//
+
+  /// Where a fast-core activation stands: its body, decoded tables and
+  /// frame, its block position, and the per-tier accounting a frame
+  /// transfer retargets.
+  struct FastCursor {
+    ResolvedBody Body;
+    DecodedBody *DB = nullptr;
+    std::vector<RtValue> Frame;
+    uint32_t BlockIdx = 0;
+    const BasicBlock *PrevBB = nullptr;
+    /// Set by a transfer: the next block iteration skips phi evaluation
+    /// (the materialized frame already holds every live value) and begins
+    /// at decoded (non-phi) instruction ResumeInstIdx.
+    bool SkipPhis = false;
+    size_t ResumeInstIdx = 0;
+    profile::ProfileTable *Profiles = nullptr;
+    uint64_t *CycleSink = nullptr;
+    uint64_t DispatchExtra = 0;
+  };
+
+  /// Points \p C's profiling and cycle accounting at its body's tier. The
+  /// compiled tier records no profiles.
+  void enterTier(FastCursor &C) {
+    bool Compiled = C.Body.Compiled;
+    C.Profiles = Compiled ? nullptr : Env.profiles();
+    C.CycleSink =
+        Compiled ? &Result.CompiledCycles : &Result.InterpretedCycles;
+    C.DispatchExtra = Compiled ? 0 : Costs.InterpDispatchCost;
+  }
 
   /// Frame read with the reference core's use-before-def discipline: the
   /// Debug build asserts on the poison sentinel makeFrame planted; Release
@@ -143,200 +242,156 @@ private:
     return Frame[static_cast<size_t>(Ref)];
   }
 
-  RtValue execBodyFast(ResolvedBody Body, const std::vector<RtValue> &Args,
-                       size_t Depth) {
-    assert(Args.size() == Body.F->numParams() && "argument count mismatch");
-    profile::ProfileTable *Profiles =
-        Body.Compiled ? nullptr : Env.profiles();
-    DecodedBody *DB = &Bodies->bodyFor(*Body.F, Costs);
+  // Out of line: inlined into callFunction beside the reference core (GCC
+  // 12), the hot loop ran about 3% slower on the 16-workload suite.
+  [[gnu::noinline]] RtValue execBodyFast(ResolvedBody Callee,
+                                         const std::vector<RtValue> &Args,
+                                         size_t Depth) {
+    assert(Args.size() == Callee.F->numParams() && "argument count mismatch");
+    FastCursor C;
+    C.Body = std::move(Callee);
+    C.DB = &Bodies->bodyFor(*C.Body.F, Costs);
+    enterTier(C);
 
-    if (Profiles) {
+    if (C.Profiles) {
       // Any profiled execution runs the baseline body, whose profile key is
       // its own name — the invariant that lets interned handles live on the
       // per-Function DecodedBody.
-      assert(Body.ProfileName == Body.F->name() &&
+      assert(C.Body.ProfileName == C.Body.F->name() &&
              "profiled body keyed by a foreign profile name");
-      DB->ensureFresh(Profiles);
-      if (!DB->MP)
-        DB->MP = &Profiles->methodProfile(Body.ProfileName);
-      ++DB->MP->InvocationCount;
+      C.DB->ensureFresh(C.Profiles);
+      if (!C.DB->MP)
+        C.DB->MP = &C.Profiles->methodProfile(C.Body.ProfileName);
+      ++C.DB->MP->InvocationCount;
     }
 
-    std::vector<RtValue> Frame = DB->makeFrame(Args.size());
+    C.Frame = C.DB->makeFrame(Args.size());
     for (size_t I = 0; I < Args.size(); ++I)
-      Frame[I] = Args[I];
+      C.Frame[I] = Args[I];
 
-    uint32_t BlockIdx = 0;
-    const BasicBlock *PrevBB = nullptr;
-    // Set by deopt/OSR transfers: the next block iteration begins at this
-    // decoded (non-phi) instruction index with phi evaluation skipped (the
-    // materialized frame already holds every live value).
-    size_t ResumeInstIdx = 0;
-    bool SkipPhis = false;
     // Set by an OSR poll at a block transition: the frame transfers into
     // this OSR variant once the target block's phis have been evaluated.
     const Function *PendingOsr = nullptr;
-    // Hoisted per-tier accounting; retargeted by deopt/OSR transfers.
-    uint64_t *CycleSink =
-        Body.Compiled ? &Result.CompiledCycles : &Result.InterpretedCycles;
-    uint64_t DispatchExtra = Body.Compiled ? 0 : Costs.InterpDispatchCost;
 
     while (true) {
       if (trapped())
         return RtValue::nullVal();
-      if (checkBudgets(Body.F->name()))
+      if (checkBudgets(C.Body.F->name()))
         return RtValue::nullVal();
 
-      const DecodedBody::Block &Blk = DB->Blocks[BlockIdx];
+      const DecodedBody::Block &Blk = C.DB->Blocks[C.BlockIdx];
 
       // Phis evaluate in parallel against the edge taken: stage every read,
       // then write (an edge's move list may permute sibling phis).
-      if (!SkipPhis && Blk.NumPhis != 0) {
-        assert(PrevBB && "phi in entry block");
+      if (!C.SkipPhis && Blk.NumPhis != 0) {
+        assert(C.PrevBB && "phi in entry block");
         const DecodedBody::Edge *Ed = nullptr;
         for (uint32_t E = 0; E < Blk.NumEdges; ++E)
-          if (DB->Edges[Blk.FirstEdge + E].Pred == PrevBB) {
-            Ed = &DB->Edges[Blk.FirstEdge + E];
+          if (C.DB->Edges[Blk.FirstEdge + E].Pred == C.PrevBB) {
+            Ed = &C.DB->Edges[Blk.FirstEdge + E];
             break;
           }
         assert(Ed && "phi has no entry for the taken edge");
         if (Ed) {
           PhiScratch.resize(Ed->MovesCount);
           for (uint32_t I = 0; I < Ed->MovesCount; ++I)
-            PhiScratch[I] = slot(Frame, DB->Moves[Ed->MovesBegin + I].Src);
+            PhiScratch[I] = slot(C.Frame, C.DB->Moves[Ed->MovesBegin + I].Src);
           for (uint32_t I = 0; I < Ed->MovesCount; ++I)
-            Frame[DB->Moves[Ed->MovesBegin + I].Dest] = PhiScratch[I];
+            C.Frame[C.DB->Moves[Ed->MovesBegin + I].Dest] = PhiScratch[I];
         }
       }
-      SkipPhis = false;
-      size_t InstIdx = ResumeInstIdx;
-      ResumeInstIdx = 0;
+      size_t InstIdx = C.SkipPhis ? C.ResumeInstIdx : 0;
+      C.SkipPhis = false;
 
       if (PendingOsr) {
         // The loop header's phis now hold this iteration's values; hand
         // the frame to the compiled OSR body.
-        const Function *Target = PendingOsr;
+        std::optional<FrameMapping> Map = osrMapping(*PendingOsr, *C.Body.F);
         PendingOsr = nullptr;
-        if (!transferToOsrFast(Target, Body, DB, Frame, BlockIdx,
-                               ResumeInstIdx))
+        if (!Map)
           return RtValue::nullVal();
-        SkipPhis = true;
-        Profiles = nullptr; // The compiled tier records no profiles.
-        CycleSink = &Result.CompiledCycles;
-        DispatchExtra = 0;
-        PrevBB = nullptr;
+        transfer(C, *Map, nullptr);
         continue;
       }
 
       for (; InstIdx < Blk.NumInsts; ++InstIdx) {
-        const DecodedBody::Inst &DI = DB->Insts[Blk.FirstInst + InstIdx];
+        const DecodedBody::Inst &DI = C.DB->Insts[Blk.FirstInst + InstIdx];
         ++Result.Steps;
-        *CycleSink += DI.Cost + DispatchExtra;
+        *C.CycleSink += DI.Cost + C.DispatchExtra;
 
         switch (DI.Kind) {
-        case ValueKind::Jump: {
-          PrevBB = Blk.BB;
-          uint32_t Next = DI.S0;
-          Env.onSafepoint();
-          if (Body.OsrEligible && !Body.Compiled)
-            PendingOsr = Env.onOsrEdge(Body.ProfileName, *Blk.BB,
-                                       *DB->Blocks[Next].BB);
-          BlockIdx = Next;
-          goto BlockDone;
-        }
+        case ValueKind::Jump:
+          C.BlockIdx = DI.S0;
+          goto TakeEdge;
         case ValueKind::Branch: {
-          bool Cond = slot(Frame, DB->Ops[DI.FirstOp]).asBool();
-          if (Profiles) {
-            DB->ensureFresh(Profiles);
-            profile::BranchProfile *&BP = DB->BranchCache[DI.ProfileSlot];
+          bool Cond = slot(C.Frame, C.DB->Ops[DI.FirstOp]).asBool();
+          if (C.Profiles) {
+            C.DB->ensureFresh(C.Profiles);
+            profile::BranchProfile *&BP = C.DB->BranchCache[DI.ProfileSlot];
             if (!BP) {
-              if (!DB->MP)
-                DB->MP = &Profiles->methodProfile(Body.ProfileName);
-              BP = &DB->MP->Branches[DI.I->profileId()];
+              if (!C.DB->MP)
+                C.DB->MP = &C.Profiles->methodProfile(C.Body.ProfileName);
+              BP = &C.DB->MP->Branches[DI.I->profileId()];
             }
             if (Cond)
               ++BP->TrueCount;
             else
               ++BP->FalseCount;
           }
-          PrevBB = Blk.BB;
-          uint32_t Next = Cond ? DI.S0 : DI.S1;
-          Env.onSafepoint();
-          if (Body.OsrEligible && !Body.Compiled)
-            PendingOsr = Env.onOsrEdge(Body.ProfileName, *Blk.BB,
-                                       *DB->Blocks[Next].BB);
-          BlockIdx = Next;
-          goto BlockDone;
+          C.BlockIdx = Cond ? DI.S0 : DI.S1;
+          goto TakeEdge;
         }
         case ValueKind::Guard: {
-          RtValue Recv = slot(Frame, DB->Ops[DI.FirstOp]);
+          RtValue Recv = slot(C.Frame, C.DB->Ops[DI.FirstOp]);
           // Null receivers fail the guard too: the baseline re-dispatch
           // then reproduces the virtual call's null-pointer trap exactly.
           bool Pass =
               Recv.isObject() && TheHeap.object(Recv.Ref).ClassId == DI.A;
-          if (Pass && Env.shouldForceGuardFailure(Body.ProfileName,
+          if (Pass && Env.shouldForceGuardFailure(C.Body.ProfileName,
                                                   DI.I->profileId()))
             Pass = false;
-          PrevBB = Blk.BB;
-          uint32_t Next = Pass ? DI.S0 : DI.S1;
-          Env.onSafepoint();
-          if (Body.OsrEligible && !Body.Compiled)
-            PendingOsr = Env.onOsrEdge(Body.ProfileName, *Blk.BB,
-                                       *DB->Blocks[Next].BB);
-          BlockIdx = Next;
-          goto BlockDone;
+          C.BlockIdx = Pass ? DI.S0 : DI.S1;
+          goto TakeEdge;
         }
         case ValueKind::Return:
-          return DI.NumOps != 0 ? slot(Frame, DB->Ops[DI.FirstOp])
+          return DI.NumOps != 0 ? slot(C.Frame, C.DB->Ops[DI.FirstOp])
                                 : RtValue::nullVal();
         case ValueKind::Deopt: {
           const auto *D = cast<DeoptInst>(DI.I);
-          if (!D->hasFrameState()) {
-            // Legacy meaning: a point the compiled code believed
-            // unreachable. Nothing to recover to — fatal trap.
-            trap(TrapKind::Deoptimization, D->reason());
+          std::optional<FrameMapping> Map = deoptMapping(*D);
+          if (!Map)
             return RtValue::nullVal();
-          }
-          if (!transferToBaselineFast(D, DI, Body, DB, Frame, BlockIdx,
-                                      ResumeInstIdx))
-            return RtValue::nullVal();
-          // The transfer swapped in the baseline body; re-enter the loop
-          // at the resume point with the materialized frame.
-          SkipPhis = true;
-          Profiles = Env.profiles();
-          CycleSink = &Result.InterpretedCycles;
-          DispatchExtra = Costs.InterpDispatchCost;
-          PrevBB = nullptr;
+          transfer(C, *Map, D);
           goto BlockDone;
         }
         case ValueKind::Call: {
-          *CycleSink += Costs.CallOverhead;
+          *C.CycleSink += Costs.CallOverhead;
           std::vector<RtValue> CArgs;
           CArgs.reserve(DI.NumOps);
           for (uint32_t I = 0; I < DI.NumOps; ++I)
-            CArgs.push_back(slot(Frame, DB->Ops[DI.FirstOp + I]));
+            CArgs.push_back(slot(C.Frame, C.DB->Ops[DI.FirstOp + I]));
           RtValue V = callFunction(cast<CallInst>(DI.I)->callee(), CArgs,
                                    Depth + 1);
           if (trapped())
             return RtValue::nullVal();
           if (DI.Dest >= 0)
-            Frame[DI.Dest] = V;
+            C.Frame[DI.Dest] = V;
           break;
         }
         case ValueKind::VirtualCall: {
-          *CycleSink += Costs.CallOverhead + Costs.VirtualDispatchOverhead;
+          *C.CycleSink += Costs.CallOverhead + Costs.VirtualDispatchOverhead;
           const auto *VC = cast<VirtualCallInst>(DI.I);
-          RtValue Recv = slot(Frame, DB->Ops[DI.FirstOp]);
+          RtValue Recv = slot(C.Frame, C.DB->Ops[DI.FirstOp]);
           if (!Recv.isObject()) {
             trap(TrapKind::NullPointer, "receiver of " + VC->methodName());
             return RtValue::nullVal();
           }
           int ClassId = TheHeap.object(Recv.Ref).ClassId;
           const types::MethodInfo *Target = nullptr;
-          if (Opts.InlineCaches || Profiles)
-            DB->ensureFresh(Profiles);
+          if (Opts.InlineCaches || C.Profiles)
+            C.DB->ensureFresh(C.Profiles);
           if (Opts.InlineCaches) {
-            DecodedBody::Pic &P = DB->Pics[DI.ProfileSlot];
+            DecodedBody::Pic &P = C.DB->Pics[DI.ProfileSlot];
             for (uint8_t E = 0; E < P.Size; ++E)
               if (P.E[E].ClassId == ClassId) {
                 Target = P.E[E].Target;
@@ -347,7 +402,7 @@ private:
                 if (P.E[E].Count)
                   ++*P.E[E].Count;
                 else
-                  assert(!Profiles &&
+                  assert(!C.Profiles &&
                          "profiled PIC entry lost its interned count");
                 break;
               }
@@ -361,12 +416,12 @@ private:
               return RtValue::nullVal();
             }
             uint64_t *Count = nullptr;
-            DecodedBody::Pic &P = DB->Pics[DI.ProfileSlot];
-            if (Profiles) {
+            DecodedBody::Pic &P = C.DB->Pics[DI.ProfileSlot];
+            if (C.Profiles) {
               if (!P.RP) {
-                if (!DB->MP)
-                  DB->MP = &Profiles->methodProfile(Body.ProfileName);
-                P.RP = &DB->MP->Receivers[DI.I->profileId()];
+                if (!C.DB->MP)
+                  C.DB->MP = &C.Profiles->methodProfile(C.Body.ProfileName);
+                P.RP = &C.DB->MP->Receivers[DI.I->profileId()];
               }
               P.RP->record(ClassId);
               Count = &P.RP->Counts[ClassId];
@@ -380,17 +435,17 @@ private:
           CArgs.reserve(DI.NumOps);
           CArgs.push_back(Recv);
           for (uint32_t I = 1; I < DI.NumOps; ++I)
-            CArgs.push_back(slot(Frame, DB->Ops[DI.FirstOp + I]));
+            CArgs.push_back(slot(C.Frame, C.DB->Ops[DI.FirstOp + I]));
           RtValue V = callFunction(Target->QualifiedName, CArgs, Depth + 1);
           if (trapped())
             return RtValue::nullVal();
           if (DI.Dest >= 0)
-            Frame[DI.Dest] = V;
+            C.Frame[DI.Dest] = V;
           break;
         }
         case ValueKind::BinOp: {
-          const RtValue &L = slot(Frame, DB->Ops[DI.FirstOp]);
-          const RtValue &R = slot(Frame, DB->Ops[DI.FirstOp + 1]);
+          const RtValue &L = slot(C.Frame, C.DB->Ops[DI.FirstOp]);
+          const RtValue &R = slot(C.Frame, C.DB->Ops[DI.FirstOp + 1]);
           using Op = BinOpInst::Opcode;
           Op Opcode = static_cast<Op>(DI.Sub);
           RtValue V;
@@ -416,12 +471,12 @@ private:
             }
             V = RtValue::intVal(*Folded);
           }
-          Frame[DI.Dest] = V;
+          C.Frame[DI.Dest] = V;
           break;
         }
         case ValueKind::UnOp: {
-          RtValue V = slot(Frame, DB->Ops[DI.FirstOp]);
-          Frame[DI.Dest] =
+          RtValue V = slot(C.Frame, C.DB->Ops[DI.FirstOp]);
+          C.Frame[DI.Dest] =
               static_cast<UnOpInst::Opcode>(DI.Sub) == UnOpInst::Opcode::Neg
                   ? RtValue::intVal(-static_cast<int64_t>(
                         static_cast<uint64_t>(V.asInt())))
@@ -430,48 +485,48 @@ private:
         }
         case ValueKind::NewObject: {
           if (TheHeap.exhausted()) {
-            trap(TrapKind::HeapExhausted, Body.F->name());
+            trap(TrapKind::HeapExhausted, C.Body.F->name());
             return RtValue::nullVal();
           }
-          Frame[DI.Dest] = RtValue::objectVal(TheHeap.allocObject(DI.A));
+          C.Frame[DI.Dest] = RtValue::objectVal(TheHeap.allocObject(DI.A));
           break;
         }
         case ValueKind::NewArray: {
           if (TheHeap.exhausted()) {
-            trap(TrapKind::HeapExhausted, Body.F->name());
+            trap(TrapKind::HeapExhausted, C.Body.F->name());
             return RtValue::nullVal();
           }
-          int64_t Len = slot(Frame, DB->Ops[DI.FirstOp]).asInt();
+          int64_t Len = slot(C.Frame, C.DB->Ops[DI.FirstOp]).asInt();
           if (Len < 0) {
             trap(TrapKind::IndexOutOfBounds, "negative array length");
             return RtValue::nullVal();
           }
-          Frame[DI.Dest] = RtValue::arrayVal(TheHeap.allocArray(DI.A != 0,
+          C.Frame[DI.Dest] = RtValue::arrayVal(TheHeap.allocArray(DI.A != 0,
                                                                 Len));
           break;
         }
         case ValueKind::LoadField: {
-          RtValue Obj = slot(Frame, DB->Ops[DI.FirstOp]);
+          RtValue Obj = slot(C.Frame, C.DB->Ops[DI.FirstOp]);
           if (!Obj.isObject()) {
             trap(TrapKind::NullPointer, "field load");
             return RtValue::nullVal();
           }
-          Frame[DI.Dest] = TheHeap.object(Obj.Ref).Fields[DI.A];
+          C.Frame[DI.Dest] = TheHeap.object(Obj.Ref).Fields[DI.A];
           break;
         }
         case ValueKind::StoreField: {
-          RtValue Obj = slot(Frame, DB->Ops[DI.FirstOp]);
+          RtValue Obj = slot(C.Frame, C.DB->Ops[DI.FirstOp]);
           if (!Obj.isObject()) {
             trap(TrapKind::NullPointer, "field store");
             return RtValue::nullVal();
           }
           TheHeap.object(Obj.Ref).Fields[DI.A] =
-              slot(Frame, DB->Ops[DI.FirstOp + 1]);
+              slot(C.Frame, C.DB->Ops[DI.FirstOp + 1]);
           break;
         }
         case ValueKind::LoadIndex: {
-          RtValue Arr = slot(Frame, DB->Ops[DI.FirstOp]);
-          RtValue Idx = slot(Frame, DB->Ops[DI.FirstOp + 1]);
+          RtValue Arr = slot(C.Frame, C.DB->Ops[DI.FirstOp]);
+          RtValue Idx = slot(C.Frame, C.DB->Ops[DI.FirstOp + 1]);
           if (!Arr.isArray()) {
             trap(TrapKind::NullPointer, "array load");
             return RtValue::nullVal();
@@ -482,13 +537,13 @@ private:
             trap(TrapKind::IndexOutOfBounds, "array load");
             return RtValue::nullVal();
           }
-          Frame[DI.Dest] = A.Elems[static_cast<size_t>(I)];
+          C.Frame[DI.Dest] = A.Elems[static_cast<size_t>(I)];
           break;
         }
         case ValueKind::StoreIndex: {
-          RtValue Arr = slot(Frame, DB->Ops[DI.FirstOp]);
-          RtValue Idx = slot(Frame, DB->Ops[DI.FirstOp + 1]);
-          RtValue V = slot(Frame, DB->Ops[DI.FirstOp + 2]);
+          RtValue Arr = slot(C.Frame, C.DB->Ops[DI.FirstOp]);
+          RtValue Idx = slot(C.Frame, C.DB->Ops[DI.FirstOp + 1]);
+          RtValue V = slot(C.Frame, C.DB->Ops[DI.FirstOp + 2]);
           if (!Arr.isArray()) {
             trap(TrapKind::NullPointer, "array store");
             return RtValue::nullVal();
@@ -503,57 +558,57 @@ private:
           break;
         }
         case ValueKind::ArrayLength: {
-          RtValue Arr = slot(Frame, DB->Ops[DI.FirstOp]);
+          RtValue Arr = slot(C.Frame, C.DB->Ops[DI.FirstOp]);
           if (!Arr.isArray()) {
             trap(TrapKind::NullPointer, "array length");
             return RtValue::nullVal();
           }
-          Frame[DI.Dest] = RtValue::intVal(
+          C.Frame[DI.Dest] = RtValue::intVal(
               static_cast<int64_t>(TheHeap.array(Arr.Ref).Elems.size()));
           break;
         }
         case ValueKind::InstanceOf: {
-          RtValue Obj = slot(Frame, DB->Ops[DI.FirstOp]);
-          Frame[DI.Dest] = RtValue::boolVal(
+          RtValue Obj = slot(C.Frame, C.DB->Ops[DI.FirstOp]);
+          C.Frame[DI.Dest] = RtValue::boolVal(
               Obj.isObject() &&
               M.classes().isSubclassOf(TheHeap.object(Obj.Ref).ClassId,
                                        DI.A));
           break;
         }
         case ValueKind::CheckCast: {
-          RtValue Obj = slot(Frame, DB->Ops[DI.FirstOp]);
+          RtValue Obj = slot(C.Frame, C.DB->Ops[DI.FirstOp]);
           if (!Obj.isNull()) { // null casts to anything, like Java.
             if (!Obj.isObject() ||
                 !M.classes().isSubclassOf(TheHeap.object(Obj.Ref).ClassId,
                                           DI.A)) {
-              trap(TrapKind::ClassCastFailure, Body.F->name());
+              trap(TrapKind::ClassCastFailure, C.Body.F->name());
               return RtValue::nullVal();
             }
           }
-          Frame[DI.Dest] = Obj;
+          C.Frame[DI.Dest] = Obj;
           break;
         }
         case ValueKind::GetClassId: {
-          RtValue Obj = slot(Frame, DB->Ops[DI.FirstOp]);
+          RtValue Obj = slot(C.Frame, C.DB->Ops[DI.FirstOp]);
           if (!Obj.isObject()) {
             trap(TrapKind::NullPointer, "getclassid");
             return RtValue::nullVal();
           }
-          Frame[DI.Dest] =
+          C.Frame[DI.Dest] =
               RtValue::intVal(TheHeap.object(Obj.Ref).ClassId);
           break;
         }
         case ValueKind::NullCheck: {
-          RtValue Obj = slot(Frame, DB->Ops[DI.FirstOp]);
+          RtValue Obj = slot(C.Frame, C.DB->Ops[DI.FirstOp]);
           if (Obj.isNull()) {
             trap(TrapKind::NullPointer, "nullcheck");
             return RtValue::nullVal();
           }
-          Frame[DI.Dest] = Obj;
+          C.Frame[DI.Dest] = Obj;
           break;
         }
         case ValueKind::Print: {
-          RtValue V = slot(Frame, DB->Ops[DI.FirstOp]);
+          RtValue V = slot(C.Frame, C.DB->Ops[DI.FirstOp]);
           if (V.isBool())
             Result.Output += V.asBool() ? "true\n" : "false\n";
           else
@@ -569,128 +624,43 @@ private:
           incline_unreachable("unhandled instruction in interpreter");
         }
       }
-      // Either a terminator redirected control (goto) or the block fell off
-      // its end (unterminated — unverified IR); both re-enter the outer
-      // loop, the latter re-running the block until the step budget traps,
-      // matching the reference core.
+      // The block fell off its end (unterminated — unverified IR): re-run
+      // it until the step budget traps, matching the reference core.
+      continue;
+    TakeEdge:
+      // Every taken CFG edge is a safepoint; OSR-eligible interpreted
+      // bodies also report it (see the reference core).
+      C.PrevBB = Blk.BB;
+      Env.onSafepoint();
+      if (C.Body.OsrEligible && !C.Body.Compiled)
+        PendingOsr = Env.onOsrEdge(C.Body.ProfileName, *Blk.BB,
+                                   *C.DB->Blocks[C.BlockIdx].BB);
     BlockDone:;
     }
   }
 
-  /// Deoptimization against the decoded tables: same contract as
-  /// transferToBaseline, but destination slots resolve through BlockById /
-  /// SlotByProfileId instead of per-deopt hash-map builds.
-  bool transferToBaselineFast(const DeoptInst *D,
-                              const DecodedBody::Inst &DDI,
-                              ResolvedBody &Body, DecodedBody *&DB,
-                              std::vector<RtValue> &Frame,
-                              uint32_t &BlockIdx, size_t &ResumeInstIdx) {
-    const FrameState &FS = D->frameState();
-    const Function *Baseline = M.function(FS.BaselineSymbol);
-    if (!Baseline) {
-      trap(TrapKind::Deoptimization, "no baseline " + FS.BaselineSymbol);
-      return false;
+  /// The one fast-core frame transfer: moves the live values along \p Map
+  /// into a fresh frame of its target and resumes there, past the resume
+  /// block's phis. \p Deopt is the deoptimization that asked for it, or
+  /// null for an OSR entry. Values are copied, not read: one the source
+  /// frame never evaluated stays poisoned on the other side.
+  void transfer(FastCursor &C, const FrameMapping &Map,
+                const DeoptInst *Deopt) {
+    DecodedBody &TDB = Bodies->bodyFor(*Map.Target, Costs);
+    std::vector<RtValue> Frame = TDB.makeFrame(0);
+    for (const FrameMapping::Move &Mv : Map.Moves) {
+      int32_t To = TDB.refOf(*Mv.To), From = C.DB->refOf(*Mv.From);
+      assert(To >= 0 && From >= 0 && "frame mapping names an unslotted value");
+      Frame[size_t(To)] = C.Frame[size_t(From)];
     }
-    DecodedBody &BDB = Bodies->bodyFor(*Baseline, Costs);
-    int32_t NewBlockIdx = BDB.blockIndexOf(FS.BaselineBlockId);
-    size_t Resume = SIZE_MAX;
-    if (NewBlockIdx >= 0) {
-      const DecodedBody::Block &RBlk = BDB.Blocks[NewBlockIdx];
-      for (uint32_t I = 0; I < RBlk.NumInsts; ++I)
-        if (BDB.Insts[RBlk.FirstInst + I].I->profileId() == FS.ResumePoint) {
-          Resume = I;
-          break;
-        }
-    }
-    if (Resume == SIZE_MAX) {
-      trap(TrapKind::Deoptimization,
-           "unresolved resume point in " + FS.BaselineSymbol);
-      return false;
-    }
-
-    // A frame state whose slot count disagrees with the captured operands
-    // cannot be materialized soundly; trap unconditionally (a Release
-    // build must not transfer a truncated frame).
-    if (FS.Slots.size() != D->numOperands()) {
-      trap(TrapKind::Deoptimization,
-           "frame-state slot/operand mismatch in " + FS.BaselineSymbol);
-      return false;
-    }
-
-    // Every baseline slot starts poisoned (in Debug): only the values the
-    // frame state materializes are live on the other side.
-    std::vector<RtValue> NewFrame = BDB.makeFrame(0);
-    for (size_t I = 0; I < FS.Slots.size(); ++I) {
-      const FrameStateSlot &Slot = FS.Slots[I];
-      int32_t Dest = -1;
-      if (Slot.Kind == FrameStateSlot::Target::Argument) {
-        if (Slot.BaselineId < Baseline->numParams())
-          Dest = static_cast<int32_t>(Slot.BaselineId);
-      } else {
-        Dest = BDB.slotOfProfileId(Slot.BaselineId);
-      }
-      if (Dest < 0) {
-        trap(TrapKind::Deoptimization,
-             "unresolved frame-state slot in " + FS.BaselineSymbol);
-        return false;
-      }
-      NewFrame[Dest] = slot(Frame, DB->Ops[DDI.FirstOp + I]);
-    }
-
-    // Report before transferring: the JIT runtime invalidates the compiled
-    // code here. The retired Function must stay alive (the runtime parks it
-    // in a graveyard) because this C++ frame still references it — and with
-    // it the decoded body keyed by its uniqueId.
-    Env.onDeopt(Body.ProfileName, *D);
-
-    Body.F = Baseline;
-    Body.Compiled = false;
-    Body.ProfileName = FS.BaselineSymbol;
-    DB = &BDB;
-    Frame = std::move(NewFrame);
-    BlockIdx = static_cast<uint32_t>(NewBlockIdx);
-    ResumeInstIdx = Resume;
-    return true;
-  }
-
-  /// Loop-entry OSR against the decoded tables: the inverse of
-  /// transferToBaselineFast. \p Body must be the baseline the variant is
-  /// anchored at, its current block the loop header with this iteration's
-  /// phi values already in \p Frame.
-  bool transferToOsrFast(const Function *OsrF, ResolvedBody &Body,
-                         DecodedBody *&DB, std::vector<RtValue> &Frame,
-                         uint32_t &BlockIdx, size_t &ResumeInstIdx) {
-    assert(OsrF->osrAnchor() && "OSR transfer into an unanchored function");
-    assert(OsrF->numParams() == Body.F->numParams() &&
-           "OSR variant signature mismatch");
-    DecodedBody &ODB = Bodies->bodyFor(*OsrF, Costs);
-    std::vector<RtValue> NewFrame = ODB.makeFrame(OsrF->numParams());
-    // Arguments occupy slots 0..numParams-1 in both bodies.
-    for (size_t I = 0; I < OsrF->numParams(); ++I)
-      NewFrame[I] = Frame[I];
-    for (const DecodedBody::OsrEntryDesc &OE : ODB.OsrEntries) {
-      int32_t Src = -1;
-      if (OE.Source.Kind == FrameStateSlot::Target::Argument) {
-        if (OE.Source.BaselineId < Body.F->numParams())
-          Src = static_cast<int32_t>(OE.Source.BaselineId);
-      } else {
-        Src = DB->slotOfProfileId(OE.Source.BaselineId);
-      }
-      if (Src < 0) {
-        trap(TrapKind::Deoptimization,
-             "unresolved osr entry slot in " + OsrF->name());
-        return false;
-      }
-      NewFrame[OE.DestSlot] = slot(Frame, Src);
-    }
-
-    Body.F = OsrF;
-    Body.Compiled = true;
-    DB = &ODB;
-    Frame = std::move(NewFrame);
-    BlockIdx = 0;
-    ResumeInstIdx = ODB.OsrLeadCount;
-    return true;
+    retarget(C.Body, Map, Deopt);
+    C.DB = &TDB;
+    C.Frame = std::move(Frame);
+    C.BlockIdx = TDB.blockIndexOf(*Map.ResumeBlock);
+    C.ResumeInstIdx = Map.ResumeIndex - TDB.Blocks[C.BlockIdx].NumPhis;
+    C.SkipPhis = true;
+    C.PrevBB = nullptr;
+    enterTier(C);
   }
 
   //===------------------------------------------------------------------===//
@@ -698,24 +668,29 @@ private:
   // as the differential oracle's semantic baseline.
   //===------------------------------------------------------------------===//
 
-  RtValue execBody(ResolvedBody Body, const std::vector<RtValue> &Args,
-                   size_t Depth) {
-    const Function *F = Body.F;
-    assert(Args.size() == F->numParams() && "argument count mismatch");
-    profile::ProfileTable *Profiles =
-        Body.Compiled ? nullptr : Env.profiles();
-
+  /// Where a reference-core activation stands (see FastCursor).
+  struct RefCursor {
+    ResolvedBody Body;
     std::unordered_map<const Value *, RtValue> Frame;
-    for (size_t I = 0; I < Args.size(); ++I)
-      Frame[F->arg(I)] = Args[I];
-
-    const BasicBlock *BB = F->entry();
+    const BasicBlock *BB = nullptr;
     const BasicBlock *PrevBB = nullptr;
-    // Set by a deoptimization transfer: the next block iteration begins at
-    // this instruction index (the baseline resume point) instead of at the
-    // top, and phi evaluation is skipped (the materialized frame already
-    // holds every live value).
+    /// Set by a transfer: the next block iteration skips phi evaluation and
+    /// begins at instruction ResumeIndex of BB.
+    bool SkipPhis = false;
     size_t ResumeIndex = 0;
+    profile::ProfileTable *Profiles = nullptr;
+  };
+
+  RtValue execBody(ResolvedBody Callee, const std::vector<RtValue> &Args,
+                   size_t Depth) {
+    assert(Args.size() == Callee.F->numParams() && "argument count mismatch");
+    RefCursor C;
+    C.Body = std::move(Callee);
+    C.Profiles = C.Body.Compiled ? nullptr : Env.profiles();
+    for (size_t I = 0; I < Args.size(); ++I)
+      C.Frame[C.Body.F->arg(I)] = Args[I];
+    C.BB = C.Body.F->entry();
+
     // Set by an OSR poll at a block transition: the frame transfers into
     // this OSR variant once the target block's phis have been evaluated
     // (the entry descriptors may read this iteration's phi values).
@@ -723,104 +698,95 @@ private:
     while (true) {
       if (trapped())
         return RtValue::nullVal();
-      if (checkBudgets(F->name()))
+      if (checkBudgets(C.Body.F->name()))
         return RtValue::nullVal();
 
       // Phis evaluate in parallel against the edge taken.
-      std::vector<PhiInst *> Phis = BB->phis();
-      if (ResumeIndex == 0 && !Phis.empty()) {
-        assert(PrevBB && "phi in entry block");
+      std::vector<PhiInst *> Phis = C.BB->phis();
+      if (!C.SkipPhis && !Phis.empty()) {
+        assert(C.PrevBB && "phi in entry block");
         std::vector<RtValue> NewVals;
         NewVals.reserve(Phis.size());
         for (PhiInst *Phi : Phis) {
-          Value *In = Phi->incomingValueFor(PrevBB);
+          Value *In = Phi->incomingValueFor(C.PrevBB);
           assert(In && "phi has no entry for the taken edge");
-          NewVals.push_back(eval(In, Frame));
+          NewVals.push_back(eval(In, C.Frame));
         }
         for (size_t I = 0; I < Phis.size(); ++I)
-          Frame[Phis[I]] = NewVals[I];
+          C.Frame[Phis[I]] = NewVals[I];
       }
-      size_t Begin = ResumeIndex > Phis.size() ? ResumeIndex : Phis.size();
-      ResumeIndex = 0;
+      size_t Begin = C.SkipPhis ? C.ResumeIndex : Phis.size();
+      C.SkipPhis = false;
 
       if (PendingOsr) {
         // The loop header's phis now hold this iteration's values; hand
         // the frame to the compiled OSR body.
-        const Function *Target = PendingOsr;
+        std::optional<FrameMapping> Map = osrMapping(*PendingOsr, *C.Body.F);
         PendingOsr = nullptr;
-        if (!transferToOsr(Target, Body, F, BB, Frame, ResumeIndex))
+        if (!Map)
           return RtValue::nullVal();
-        Profiles = nullptr; // The compiled tier records no profiles.
-        PrevBB = nullptr;
+        transfer(C, *Map, nullptr);
         continue;
       }
 
-      for (size_t Index = Begin; Index < BB->size(); ++Index) {
-        const Instruction *Inst = BB->instructions()[Index].get();
+      for (size_t Index = Begin; Index < C.BB->size(); ++Index) {
+        const Instruction *Inst = C.BB->instructions()[Index].get();
         ++Result.Steps;
-        charge(Costs.opCost(*Inst), Body.Compiled);
-        if (!Body.Compiled)
+        charge(Costs.opCost(*Inst), C.Body.Compiled);
+        if (!C.Body.Compiled)
           charge(Costs.InterpDispatchCost, false);
 
         if (Inst->isTerminator()) {
           switch (Inst->kind()) {
           case ValueKind::Jump:
-            PrevBB = BB;
-            BB = cast<JumpInst>(Inst)->target();
+            C.PrevBB = C.BB;
+            C.BB = cast<JumpInst>(Inst)->target();
             Env.onSafepoint();
             break;
           case ValueKind::Branch: {
             const auto *Br = cast<BranchInst>(Inst);
-            bool Cond = eval(Br->condition(), Frame).asBool();
-            if (Profiles) {
+            bool Cond = eval(Br->condition(), C.Frame).asBool();
+            if (C.Profiles) {
               profile::BranchProfile &BP =
-                  Profiles->methodProfile(Body.ProfileName)
+                  C.Profiles->methodProfile(C.Body.ProfileName)
                       .Branches[Br->profileId()];
               if (Cond)
                 ++BP.TrueCount;
               else
                 ++BP.FalseCount;
             }
-            PrevBB = BB;
-            BB = Cond ? Br->trueSuccessor() : Br->falseSuccessor();
+            C.PrevBB = C.BB;
+            C.BB = Cond ? Br->trueSuccessor() : Br->falseSuccessor();
             Env.onSafepoint();
             break;
           }
           case ValueKind::Return: {
             const auto *Ret = cast<ReturnInst>(Inst);
-            return Ret->hasValue() ? eval(Ret->returnValue(), Frame)
+            return Ret->hasValue() ? eval(Ret->returnValue(), C.Frame)
                                    : RtValue::nullVal();
           }
           case ValueKind::Guard: {
             const auto *G = cast<GuardInst>(Inst);
-            RtValue Recv = eval(G->receiver(), Frame);
+            RtValue Recv = eval(G->receiver(), C.Frame);
             // Null receivers fail the guard too: the baseline re-dispatch
             // then reproduces the virtual call's null-pointer trap exactly.
             bool Pass = Recv.isObject() &&
                         TheHeap.object(Recv.Ref).ClassId ==
                             G->expectedClassId();
-            if (Pass && Env.shouldForceGuardFailure(Body.ProfileName,
+            if (Pass && Env.shouldForceGuardFailure(C.Body.ProfileName,
                                                     G->profileId()))
               Pass = false;
-            PrevBB = BB;
-            BB = Pass ? G->passSuccessor() : G->failSuccessor();
+            C.PrevBB = C.BB;
+            C.BB = Pass ? G->passSuccessor() : G->failSuccessor();
             Env.onSafepoint();
             break;
           }
           case ValueKind::Deopt: {
             const auto *D = cast<DeoptInst>(Inst);
-            if (!D->hasFrameState()) {
-              // Legacy meaning: a point the compiled code believed
-              // unreachable. Nothing to recover to — fatal trap.
-              trap(TrapKind::Deoptimization, D->reason());
+            std::optional<FrameMapping> Map = deoptMapping(*D);
+            if (!Map)
               return RtValue::nullVal();
-            }
-            if (!transferToBaseline(D, Body, F, BB, Frame, ResumeIndex))
-              return RtValue::nullVal();
-            // The transfer swapped in the baseline body; re-enter the loop
-            // at the resume point with the materialized frame.
-            Profiles = Env.profiles();
-            PrevBB = nullptr;
+            transfer(C, *Map, D);
             break;
           }
           default:
@@ -828,173 +794,38 @@ private:
           }
           // OSR-eligible interpreted bodies report every taken edge: the
           // env counts backedges there and may offer an OSR body anchored
-          // at the new block. Deopt transfers clear PrevBB (no CFG edge
-          // was taken) and returns leave the frame, so neither polls.
-          if (Body.OsrEligible && !Body.Compiled && PrevBB)
-            PendingOsr = Env.onOsrEdge(Body.ProfileName, *PrevBB, *BB);
+          // at the new block. Transfers clear PrevBB (no CFG edge was
+          // taken) and returns leave the frame, so neither polls.
+          if (C.Body.OsrEligible && !C.Body.Compiled && C.PrevBB)
+            PendingOsr = Env.onOsrEdge(C.Body.ProfileName, *C.PrevBB, *C.BB);
           break; // Proceed with the next block.
         }
 
-        RtValue V = execInstruction(Inst, Frame, Body, Depth, Profiles);
+        RtValue V = execInstruction(Inst, C.Frame, C.Body, Depth, C.Profiles);
         if (trapped())
           return RtValue::nullVal();
         if (!Inst->type().isVoid())
-          Frame[Inst] = V;
+          C.Frame[Inst] = V;
       }
     }
   }
 
-  /// Deoptimization: materializes \p D's frame state into a fresh baseline
-  /// frame and redirects execution — \p Body, \p F, \p BB, \p Frame and
-  /// \p ResumeIndex are rewritten so the caller's loop continues in the
-  /// baseline at the resume virtual call. The captured operands are read
-  /// out of the compiled frame *before* anything is torn down. Returns
-  /// false (after trapping) when the frame state does not resolve — the
-  /// verifier rejects such code at install time, so this is defense in
-  /// depth, not a supported path.
-  bool transferToBaseline(const DeoptInst *D, ResolvedBody &Body,
-                          const Function *&F, const BasicBlock *&BB,
-                          std::unordered_map<const Value *, RtValue> &Frame,
-                          size_t &ResumeIndex) {
-    const FrameState &FS = D->frameState();
-    const Function *Baseline = M.function(FS.BaselineSymbol);
-    if (!Baseline) {
-      trap(TrapKind::Deoptimization, "no baseline " + FS.BaselineSymbol);
-      return false;
-    }
-    const BasicBlock *ResumeBB = nullptr;
-    for (const auto &Blk : Baseline->blocks())
-      if (Blk->id() == FS.BaselineBlockId) {
-        ResumeBB = Blk.get();
-        break;
-      }
-    const Instruction *Resume = nullptr;
-    size_t Index = 0;
-    if (ResumeBB)
-      for (; Index < ResumeBB->size(); ++Index)
-        if (ResumeBB->instructions()[Index]->profileId() == FS.ResumePoint) {
-          Resume = ResumeBB->instructions()[Index].get();
-          break;
-        }
-    if (!Resume) {
-      trap(TrapKind::Deoptimization,
-           "unresolved resume point in " + FS.BaselineSymbol);
-      return false;
-    }
-
-    // A frame state whose slot count disagrees with the captured operands
-    // cannot be materialized soundly; trap unconditionally (a Release
-    // build must not transfer a truncated frame).
-    if (FS.Slots.size() != D->numOperands()) {
-      trap(TrapKind::Deoptimization,
-           "frame-state slot/operand mismatch in " + FS.BaselineSymbol);
-      return false;
-    }
-
-    // Baseline values are named by profileId (slots) — build the lookup
-    // once per deoptimization; deopts are rare by construction.
-    std::unordered_map<unsigned, const Value *> BaselineValues;
-    for (const auto &Blk : Baseline->blocks())
-      for (const auto &Inst : Blk->instructions())
-        if (!Inst->type().isVoid())
-          BaselineValues[Inst->profileId()] = Inst.get();
-
-    std::unordered_map<const Value *, RtValue> NewFrame;
-    for (size_t I = 0; I < FS.Slots.size(); ++I) {
-      const FrameStateSlot &Slot = FS.Slots[I];
-      const Value *Dest = nullptr;
-      if (Slot.Kind == FrameStateSlot::Target::Argument) {
-        if (Slot.BaselineId < Baseline->numParams())
-          Dest = Baseline->arg(Slot.BaselineId);
-      } else {
-        auto It = BaselineValues.find(Slot.BaselineId);
-        if (It != BaselineValues.end())
-          Dest = It->second;
-      }
-      if (!Dest) {
-        trap(TrapKind::Deoptimization,
-             "unresolved frame-state slot in " + FS.BaselineSymbol);
-        return false;
-      }
-      NewFrame[Dest] = eval(D->operand(I), Frame);
-    }
-
-    // Report before transferring: the JIT runtime invalidates the compiled
-    // code here. The retired Function must stay alive (the runtime parks it
-    // in a graveyard) because this C++ frame still references it.
-    Env.onDeopt(Body.ProfileName, *D);
-
-    Body.F = Baseline;
-    Body.Compiled = false;
-    Body.ProfileName = FS.BaselineSymbol;
-    F = Baseline;
-    BB = ResumeBB;
-    Frame = std::move(NewFrame);
-    ResumeIndex = Index;
-    return true;
-  }
-
-  /// Loop-entry OSR: the inverse of transferToBaseline. Materializes the
-  /// interpreted frame's live values into a fresh frame for \p OsrF — the
-  /// arguments by index plus one value per leading OsrEntryInst, sourced
-  /// per its slot descriptor — then redirects execution to the OSR body's
-  /// entry block with \p ResumeIndex skipping the already-materialized
-  /// entries. \p F must be the baseline the variant is anchored at and
-  /// \p BB its loop header, with this iteration's phi values already in
-  /// \p Frame. Returns false (after trapping) when a slot does not
-  /// resolve — install-time verification (verifyOsrEntries) rejects such
-  /// code, so this is defense in depth, not a supported path.
-  bool transferToOsr(const Function *OsrF, ResolvedBody &Body,
-                     const Function *&F, const BasicBlock *&BB,
-                     std::unordered_map<const Value *, RtValue> &Frame,
-                     size_t &ResumeIndex) {
-    assert(OsrF->osrAnchor() && "OSR transfer into an unanchored function");
-    assert(OsrF->numParams() == F->numParams() &&
-           "OSR variant signature mismatch");
-    // Baseline values are named by profileId (slots) — build the lookup
-    // per transfer; OSR entries are rare (once per hot loop per tier-up).
-    std::unordered_map<unsigned, const Value *> BaselineValues;
-    for (const auto &Blk : F->blocks())
-      for (const auto &Inst : Blk->instructions())
-        if (!Inst->type().isVoid())
-          BaselineValues[Inst->profileId()] = Inst.get();
-
-    std::unordered_map<const Value *, RtValue> NewFrame;
-    for (size_t I = 0; I < OsrF->numParams(); ++I)
-      NewFrame[OsrF->arg(I)] = eval(F->arg(I), Frame);
-
-    const BasicBlock *Entry = OsrF->entry();
-    size_t Lead = 0;
-    for (const auto &Inst : Entry->instructions()) {
-      const auto *OE = dyn_cast<OsrEntryInst>(Inst.get());
-      if (!OE)
-        break;
-      ++Lead;
-      const FrameStateSlot &Slot = OE->source();
-      const Value *Src = nullptr;
-      if (Slot.Kind == FrameStateSlot::Target::Argument) {
-        if (Slot.BaselineId < F->numParams())
-          Src = F->arg(Slot.BaselineId);
-      } else {
-        auto It = BaselineValues.find(Slot.BaselineId);
-        if (It != BaselineValues.end())
-          Src = It->second;
-      }
-      if (!Src) {
-        trap(TrapKind::Deoptimization,
-             "unresolved osr entry slot in " + OsrF->name());
-        return false;
-      }
-      NewFrame[OE] = eval(Src, Frame);
-    }
-
-    Body.F = OsrF;
-    Body.Compiled = true;
-    F = OsrF;
-    BB = Entry;
-    Frame = std::move(NewFrame);
-    ResumeIndex = Lead;
-    return true;
+  /// The one reference-core frame transfer: evaluates every move's source
+  /// in the current frame into a fresh frame of \p Map's target and resumes
+  /// there. \p Deopt is the deoptimization that asked for it, or null for
+  /// an OSR entry.
+  void transfer(RefCursor &C, const FrameMapping &Map,
+                const DeoptInst *Deopt) {
+    std::unordered_map<const Value *, RtValue> Frame;
+    for (const FrameMapping::Move &Mv : Map.Moves)
+      Frame[Mv.To] = eval(Mv.From, C.Frame);
+    retarget(C.Body, Map, Deopt);
+    C.Frame = std::move(Frame);
+    C.BB = Map.ResumeBlock;
+    C.ResumeIndex = Map.ResumeIndex;
+    C.SkipPhis = true;
+    C.PrevBB = nullptr;
+    C.Profiles = C.Body.Compiled ? nullptr : Env.profiles();
   }
 
   RtValue eval(const Value *V,

@@ -96,14 +96,17 @@ std::vector<BasicBlock *> BasicBlock::successors() const {
 }
 
 std::vector<PhiInst *> BasicBlock::phis() const {
-  std::vector<PhiInst *> Result;
-  for (const auto &Inst : Insts) {
-    auto *Phi = dyn_cast<PhiInst>(Inst.get());
-    if (!Phi)
-      break; // Phis are a prefix of the block.
-    Result.push_back(Phi);
-  }
+  std::vector<PhiInst *> Result(numPhis());
+  for (size_t I = 0; I < Result.size(); ++I)
+    Result[I] = cast<PhiInst>(Insts[I].get());
   return Result;
+}
+
+size_t BasicBlock::numPhis() const {
+  size_t N = 0; // Phis are a prefix of the block.
+  while (N < Insts.size() && isa<PhiInst>(Insts[N].get()))
+    ++N;
+  return N;
 }
 
 void BasicBlock::dropAllReferences() {

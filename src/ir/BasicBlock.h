@@ -80,6 +80,8 @@ public:
 
   /// The phi instructions at the head of the block.
   std::vector<PhiInst *> phis() const;
+  /// How many there are, without collecting them.
+  size_t numPhis() const;
 
   /// Edge bookkeeping; called from append/erase/replaceSuccessor only.
   /// Both bump the parent function's CFG epoch (see Function::cfgEpoch).

@@ -51,8 +51,7 @@ public:
     auto Inst = std::make_unique<PhiInst>(Ty);
     Inst->setProfileId(F.takeNextProfileId());
     PhiInst *Raw = Inst.get();
-    size_t Pos = Block->phis().size();
-    Block->insertAt(Pos, std::move(Inst));
+    Block->insertAt(Block->numPhis(), std::move(Inst));
     return Raw;
   }
 

@@ -7,6 +7,7 @@
 #include "ir/IRVerifier.h"
 
 #include "ir/Dominators.h"
+#include "ir/FrameMapping.h"
 #include "ir/Module.h"
 #include "support/Casting.h"
 #include "support/ErrorHandling.h"
@@ -16,8 +17,6 @@
 #include <cassert>
 #include <cstdint>
 #include <cstdio>
-#include <unordered_map>
-#include <unordered_set>
 
 using namespace incline;
 using namespace incline::ir;
@@ -462,73 +461,54 @@ incline::ir::verifyFrameStates(const Function &F, const Module &M) {
       if (!D || !D->hasFrameState())
         continue;
       const FrameState &FS = D->frameState();
-      const Function *Baseline = M.function(FS.BaselineSymbol);
-      if (!Baseline) {
+      const FrameMappingResult R = resolveDeopt(*D, M);
+      if (R.Error == FrameMappingError::UnknownBaseline) {
         Problem("deopt frame state names unknown baseline function " +
                 FS.BaselineSymbol);
         continue;
       }
-      // Locate the baseline block and the resume virtual call inside it.
-      const BasicBlock *ResumeBB = nullptr;
-      for (const auto &BBB : Baseline->blocks())
-        if (BBB->id() == FS.BaselineBlockId)
-          ResumeBB = BBB.get();
-      if (!ResumeBB) {
+      if (R.Error == FrameMappingError::MissingBlock) {
         Problem(formatString("deopt frame state names missing block %u of %s",
                              FS.BaselineBlockId, FS.BaselineSymbol.c_str()));
         continue;
       }
+      const Instruction *Resume =
+          R.Error == FrameMappingError::ResumeNotFound
+              ? nullptr
+              : R.Map.ResumeBlock->instructions()[R.Map.ResumeIndex].get();
       if (D->isColdBranch()) {
         // A cold-branch uncommon trap resumes at the pruned target's entry:
         // the first non-phi instruction of the named baseline block. Phis
         // are not resumable (their values arrive through the frame-state
         // slots, already selected for the pruned edge).
-        const Instruction *First = nullptr;
-        for (const auto &BInst : ResumeBB->instructions())
-          if (!isa<PhiInst>(BInst.get())) {
-            First = BInst.get();
-            break;
-          }
-        if (!First || First->profileId() != FS.ResumePoint) {
+        if (!Resume || R.Map.ResumeIndex != R.Map.ResumeBlock->numPhis()) {
           Problem(formatString(
               "cold-branch frame state resume point #%u is not the first "
               "non-phi instruction of block %u of %s",
               FS.ResumePoint, FS.BaselineBlockId, FS.BaselineSymbol.c_str()));
           continue;
         }
-      } else {
-        const VirtualCallInst *Resume = nullptr;
-        for (const auto &BInst : ResumeBB->instructions())
-          if (BInst->profileId() == FS.ResumePoint)
-            Resume = dyn_cast<VirtualCallInst>(BInst.get());
-        if (!Resume) {
-          Problem(formatString(
-              "deopt frame state resume point #%u is not a virtual call in "
-              "block %u of %s",
-              FS.ResumePoint, FS.BaselineBlockId, FS.BaselineSymbol.c_str()));
-          continue;
-        }
+      } else if (!Resume || !isa<VirtualCallInst>(Resume)) {
+        Problem(formatString(
+            "deopt frame state resume point #%u is not a virtual call in "
+            "block %u of %s",
+            FS.ResumePoint, FS.BaselineBlockId, FS.BaselineSymbol.c_str()));
+        continue;
       }
       // Every slot must land on a baseline value.
-      std::unordered_set<unsigned> BaselineIds;
-      for (const auto &BBB : Baseline->blocks())
-        for (const auto &BInst : BBB->instructions())
-          if (!BInst->type().isVoid())
-            BaselineIds.insert(BInst->profileId());
-      for (const FrameStateSlot &Slot : FS.Slots) {
-        if (Slot.Kind == FrameStateSlot::Target::Argument) {
-          if (Slot.BaselineId >= Baseline->numParams())
-            Problem(formatString(
-                "deopt frame state maps to argument %u of %s (which has "
-                "%zu parameters)",
-                Slot.BaselineId, FS.BaselineSymbol.c_str(),
-                Baseline->numParams()));
-        } else if (!BaselineIds.count(Slot.BaselineId)) {
+      for (size_t I : R.UnresolvedSlots) {
+        const FrameStateSlot &Slot = FS.Slots[I];
+        if (Slot.Kind == FrameStateSlot::Target::Argument)
+          Problem(formatString(
+              "deopt frame state maps to argument %u of %s (which has "
+              "%zu parameters)",
+              Slot.BaselineId, FS.BaselineSymbol.c_str(),
+              R.Map.Target->numParams()));
+        else
           Problem(formatString(
               "deopt frame state maps to missing baseline instruction #%u "
               "of %s",
               Slot.BaselineId, FS.BaselineSymbol.c_str()));
-        }
       }
     }
   }
@@ -566,38 +546,34 @@ incline::ir::verifyOsrEntries(const Function &F, const Module &M) {
     return Problems;
   }
 
-  std::unordered_map<unsigned, const Instruction *> BaselineInsts;
-  for (const auto &BB : Baseline->blocks())
-    for (const auto &Inst : BB->instructions())
-      if (!Inst->type().isVoid())
-        BaselineInsts[Inst->profileId()] = Inst.get();
-
+  // Every OsrEntryInst is checked, also one verifyFunction reports as
+  // misplaced (the transfer only reads the entry block's leading run).
+  const BaselineSlots Values(*Baseline);
   for (const auto &BB : F.blocks()) {
     for (const auto &Inst : BB->instructions()) {
       const auto *OE = dyn_cast<OsrEntryInst>(Inst.get());
       if (!OE)
         continue;
       const FrameStateSlot &Slot = OE->source();
-      if (Slot.Kind == FrameStateSlot::Target::Argument) {
-        if (Slot.BaselineId >= Baseline->numParams())
-          Problem(formatString(
-              "osr entry reads argument %u of %s (which has %zu parameters)",
-              Slot.BaselineId, A->BaselineSymbol.c_str(),
-              Baseline->numParams()));
+      const Value *Source = Values.resolve(Slot);
+      if (!Source) {
+        Problem(Slot.Kind == FrameStateSlot::Target::Argument
+                    ? formatString("osr entry reads argument %u of %s (which "
+                                   "has %zu parameters)",
+                                   Slot.BaselineId, A->BaselineSymbol.c_str(),
+                                   Baseline->numParams())
+                    : formatString("osr entry reads missing baseline "
+                                   "instruction #%u of %s",
+                                   Slot.BaselineId, A->BaselineSymbol.c_str()));
         continue;
       }
-      auto It = BaselineInsts.find(Slot.BaselineId);
-      if (It == BaselineInsts.end()) {
-        Problem(formatString(
-            "osr entry reads missing baseline instruction #%u of %s",
-            Slot.BaselineId, A->BaselineSymbol.c_str()));
+      // Arguments are defined everywhere. The transfer fires at the loop
+      // header after its phis were evaluated, so an instruction must be
+      // defined by then on *every* path: either its block strictly
+      // dominates the header, or it is one of the header's own phis.
+      const auto *Def = dyn_cast<Instruction>(Source);
+      if (!Def)
         continue;
-      }
-      // The transfer fires at the loop header after its phis were
-      // evaluated, so the source must be defined by then on *every* path:
-      // either its block strictly dominates the header, or it is one of
-      // the header's own phis.
-      const Instruction *Def = It->second;
       const BasicBlock *DefBB = Def->parent();
       bool Available =
           DefBB == Header ? isa<PhiInst>(Def)

@@ -33,20 +33,23 @@ std::vector<std::string> verifyFunction(const Function &F);
 /// resolve against their baseline functions).
 std::vector<std::string> verifyModule(const Module &M);
 
-/// Checks \p F's deopt frame states against the module they resume into:
-/// the baseline symbol exists, the baseline block exists and contains the
-/// resume virtual call, and every slot resolves to a baseline argument or
-/// instruction. Run by verifyModule for module functions and by the JIT
-/// runtime on compiled code before installation (compiled functions are
-/// not module members, so verifyModule never sees them).
+/// Checks \p F's deopt frame states against the module they resume into,
+/// resolving each with ir::resolveDeopt: the baseline symbol exists, the
+/// baseline block exists and its resume point is the virtual call to
+/// re-dispatch (for a cold-branch trap, the block's first non-phi), and
+/// every slot resolves to a baseline argument or instruction. Run by
+/// verifyModule for module functions and by the JIT runtime on compiled
+/// code before installation (compiled functions are not module members,
+/// so verifyModule never sees them).
 std::vector<std::string> verifyFrameStates(const Function &F, const Module &M);
 
 /// Checks \p F's OSR entry descriptors against the module: when \p F
 /// carries an OSR anchor, the anchored baseline function and loop-header
 /// block must exist, and every OsrEntryInst slot must resolve to a baseline
 /// argument or to a baseline instruction available at the header (defined
-/// in a strictly dominating block, or one of the header's own phis). Run by
-/// verifyModule and by the JIT runtime before installing OSR code.
+/// in a strictly dominating block, or one of the header's own phis), as
+/// ir::BaselineSlots resolves it. Run by verifyModule and by the JIT
+/// runtime before installing OSR code.
 std::vector<std::string> verifyOsrEntries(const Function &F, const Module &M);
 
 /// Convenience: asserts (fatally) that \p F verifies; returns true so it

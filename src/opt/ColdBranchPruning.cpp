@@ -200,14 +200,9 @@ private:
                        FrameState &State) {
     // The resume point: the target's first non-phi instruction (always
     // exists — every block has a terminator).
-    const Instruction *Resume = nullptr;
-    for (const auto &Inst : Target->instructions())
-      if (!isa<PhiInst>(Inst.get())) {
-        Resume = Inst.get();
-        break;
-      }
-    if (!Resume)
+    if (Target->numPhis() == Target->size())
       return false;
+    const Instruction *Resume = Target->instructions()[Target->numPhis()].get();
 
     const AfterSet After(Resume);
     State.BaselineSymbol = Baseline->name();

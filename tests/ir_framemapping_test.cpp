@@ -5,15 +5,17 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The install-time checks of deopt frame states (verifyFrameStates) and OSR
-/// entry runs (verifyOsrEntries), pinned as exact message lists: every
-/// message either check emits, in order, for hand-broken transfers against
-/// one baseline function.
+/// ir::FrameMapping, the one resolver of deopt and OSR frame transfers: the
+/// mappings it builds, the errors it reports in check order, and the
+/// install-time checks built on it (verifyFrameStates, verifyOsrEntries),
+/// pinned as exact message lists for hand-broken transfers against one
+/// baseline function.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "TestHelpers.h"
 
+#include "ir/FrameMapping.h"
 #include "ir/IRBuilder.h"
 #include "ir/IRVerifier.h"
 #include "support/Casting.h"
@@ -306,6 +308,103 @@ TEST(OsrEntryVerifierTest, EveryUnavailableSourceIsReported) {
                              B.Void->profileId()),
                 "[v] osr entry reads missing baseline instruction #998 of "
                 "base"}));
+}
+
+/// The deopt of a deoptsInto function with one frame state.
+const DeoptInst &soleDeopt(const Function &F) {
+  return *cast<DeoptInst>(F.entry()->terminator());
+}
+
+using Moves = std::vector<std::pair<const Value *, const Value *>>;
+
+Moves movesOf(const FrameMapping &Map) {
+  Moves Result;
+  for (const FrameMapping::Move &Mv : Map.Moves)
+    Result.push_back({Mv.From, Mv.To});
+  return Result;
+}
+
+TEST(FrameMappingTest, DeoptMovesEachCapturedOperandToItsSlot) {
+  Base B = buildBase();
+  auto Spec = deoptsInto({stateAt(B.Entry, B.Call->profileId(),
+                                  {{SlotKind::Argument, 1},
+                                   {SlotKind::Instruction,
+                                    B.Call->profileId()}})});
+  FrameMappingResult R = resolveDeopt(soleDeopt(*Spec), *B.M);
+  ASSERT_TRUE(R.ok());
+  EXPECT_EQ(R.Map.Target, B.F);
+  EXPECT_EQ(R.Map.ResumeBlock, B.Entry);
+  EXPECT_EQ(B.Entry->instructions()[R.Map.ResumeIndex].get(), B.Call);
+  EXPECT_EQ(movesOf(R.Map), (Moves{{Spec->arg(0), B.F->arg(1)},
+                                   {Spec->arg(1), B.Call}}));
+  EXPECT_TRUE(R.UnresolvedSlots.empty());
+
+  // A cold-branch trap resumes past the block's phis, whose values the
+  // slots carry.
+  auto Cold = deoptsInto({stateAt(B.Header, B.HeaderFirst->profileId(),
+                                  {{SlotKind::Instruction,
+                                    B.Phi->profileId()}})},
+                         DeoptInst::ColdBranchReason);
+  R = resolveDeopt(soleDeopt(*Cold), *B.M);
+  ASSERT_TRUE(R.ok());
+  EXPECT_EQ(R.Map.ResumeIndex, B.Header->numPhis());
+  EXPECT_EQ(movesOf(R.Map), (Moves{{Cold->arg(0), B.Phi}}));
+}
+
+TEST(FrameMappingTest, DeoptErrorsComeInCheckOrder) {
+  Base B = buildBase();
+  auto errorOf = [&](FrameState FS, int Operands = -1) {
+    auto Spec = deoptsInto({std::move(FS)}, "test", Operands);
+    return resolveDeopt(soleDeopt(*Spec), *B.M);
+  };
+  FrameState Unknown = stateAt(B.Entry, 999);
+  Unknown.BaselineSymbol = "nope";
+  EXPECT_EQ(errorOf(Unknown).Error, FrameMappingError::UnknownBaseline);
+  FrameState NoBlock = stateAt(B.Entry, 999);
+  NoBlock.BaselineBlockId = 999;
+  EXPECT_EQ(errorOf(NoBlock).Error, FrameMappingError::MissingBlock);
+  EXPECT_EQ(errorOf(stateAt(B.Entry, 999)).Error,
+            FrameMappingError::ResumeNotFound);
+  // A phi is never a resume point.
+  EXPECT_EQ(errorOf(stateAt(B.Header, B.Phi->profileId())).Error,
+            FrameMappingError::ResumeNotFound);
+
+  std::vector<FrameStateSlot> Slots = {{SlotKind::Argument, 0},
+                                       {SlotKind::Instruction, 999},
+                                       {SlotKind::Argument, 2}};
+  FrameMappingResult R =
+      errorOf(stateAt(B.Entry, B.Call->profileId(), Slots));
+  EXPECT_EQ(R.Error, FrameMappingError::UnresolvedSlot);
+  EXPECT_EQ(R.UnresolvedSlots, (std::vector<size_t>{1, 2}));
+  // A slot count that disagrees with the operands wins over unresolved
+  // slots, which are still all listed.
+  R = errorOf(stateAt(B.Entry, B.Call->profileId(), Slots), 1);
+  EXPECT_EQ(R.Error, FrameMappingError::SlotCountMismatch);
+  EXPECT_EQ(R.UnresolvedSlots, (std::vector<size_t>{1, 2}));
+}
+
+TEST(FrameMappingTest, OsrEntryMovesArgumentsThenTheEntryRun) {
+  Base B = buildBase();
+  auto V = variant(B.Header->id(),
+                   {{SlotKind::Instruction, B.Phi->profileId()},
+                    {SlotKind::Argument, 0}});
+  FrameMappingResult R = resolveOsrEntry(*V, *B.F);
+  ASSERT_TRUE(R.ok());
+  const auto &Entry = V->entry()->instructions();
+  EXPECT_EQ(R.Map.Target, V.get());
+  EXPECT_EQ(R.Map.ResumeBlock, V->entry());
+  EXPECT_EQ(R.Map.ResumeIndex, 2u);
+  EXPECT_EQ(movesOf(R.Map), (Moves{{B.F->arg(0), V->arg(0)},
+                                   {B.F->arg(1), V->arg(1)},
+                                   {B.Phi, Entry[0].get()},
+                                   {B.F->arg(0), Entry[1].get()}}));
+
+  auto Bad = variant(B.Header->id(), {{SlotKind::Argument, 0},
+                                      {SlotKind::Instruction, 999},
+                                      {SlotKind::Argument, 7}});
+  R = resolveOsrEntry(*Bad, *B.F);
+  EXPECT_EQ(R.Error, FrameMappingError::UnresolvedSlot);
+  EXPECT_EQ(R.UnresolvedSlots, (std::vector<size_t>{1, 2}));
 }
 
 } // namespace
