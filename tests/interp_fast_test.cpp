@@ -83,7 +83,7 @@ void expectBitEqual(const CoreRun &Fast, const CoreRun &Ref,
 }
 
 //===----------------------------------------------------------------------===//
-// Satellite 1: a transfer whose mapping does not resolve must trap
+// Broken transfers: a transfer whose mapping does not resolve must trap
 // unconditionally, with the same message in both cores — in Release as
 // much as in Debug (a Release build must not transfer a truncated frame).
 //===----------------------------------------------------------------------===//
