@@ -702,7 +702,7 @@ private:
         return RtValue::nullVal();
 
       // Phis evaluate in parallel against the edge taken.
-      std::vector<PhiInst *> Phis = C.BB->phis();
+      BasicBlock::PhiList Phis = C.BB->phis();
       if (!C.SkipPhis && !Phis.empty()) {
         assert(C.PrevBB && "phi in entry block");
         std::vector<RtValue> NewVals;

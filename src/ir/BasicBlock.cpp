@@ -90,15 +90,15 @@ size_t BasicBlock::indexOf(const Instruction *Inst) const {
   incline_unreachable("instruction not found in its parent block");
 }
 
-std::vector<BasicBlock *> BasicBlock::successors() const {
+SuccessorList BasicBlock::successors() const {
   Instruction *Term = terminator();
-  return Term ? successorsOf(Term) : std::vector<BasicBlock *>{};
+  return Term ? successorsOf(Term) : SuccessorList{};
 }
 
-std::vector<PhiInst *> BasicBlock::phis() const {
-  std::vector<PhiInst *> Result(numPhis());
-  for (size_t I = 0; I < Result.size(); ++I)
-    Result[I] = cast<PhiInst>(Insts[I].get());
+BasicBlock::PhiList BasicBlock::phis() const {
+  PhiList Result;
+  for (size_t I = 0; I < Insts.size() && isa<PhiInst>(Insts[I].get()); ++I)
+    Result.push_back(cast<PhiInst>(Insts[I].get()));
   return Result;
 }
 

@@ -27,6 +27,12 @@ class Function;
 /// A node of the control-flow graph.
 class BasicBlock {
 public:
+  /// Every block of the lowered suite and traffic programs has at most two
+  /// predecessors.
+  using PredecessorList = SmallVector<BasicBlock *, 2>;
+  /// Loop headers carry one phi per live variable; eight covers most.
+  using PhiList = SmallVector<PhiInst *, 8>;
+
   BasicBlock(Function *Parent, std::string Name, unsigned Id)
       : Parent(Parent), Name(std::move(Name)), Id(Id) {}
   BasicBlock(const BasicBlock &) = delete;
@@ -75,11 +81,12 @@ public:
 
   /// Predecessor blocks (one entry per incoming edge; a conditional branch
   /// with both edges to this block contributes two entries).
-  const std::vector<BasicBlock *> &predecessors() const { return Preds; }
-  std::vector<BasicBlock *> successors() const;
+  const PredecessorList &predecessors() const { return Preds; }
+  SuccessorList successors() const;
 
-  /// The phi instructions at the head of the block.
-  std::vector<PhiInst *> phis() const;
+  /// The phi instructions at the head of the block, as a snapshot: the
+  /// caller may add or remove phis while walking it.
+  PhiList phis() const;
   /// How many there are, without collecting them.
   size_t numPhis() const;
 
@@ -98,8 +105,12 @@ private:
   std::string Name;
   unsigned Id;
   std::vector<std::unique_ptr<Instruction>> Insts;
-  std::vector<BasicBlock *> Preds;
+  PredecessorList Preds;
 };
+
+// BasicBlock: parent 8, name 32, id 8 (4 of padding), instruction vector
+// 24, inline predecessor list 32.
+static_assert(sizeof(BasicBlock) == 104, "BasicBlock changed size");
 
 } // namespace incline::ir
 

@@ -195,7 +195,7 @@ private:
   }
 
   /// True if \p Users and S.Uses[Begin, End) are equal as multisets.
-  bool sameUsers(const std::vector<Instruction *> &Users, uint32_t Begin,
+  bool sameUsers(const Value::UserList &Users, uint32_t Begin,
                  uint32_t End) {
     if (Users.size() != End - Begin)
       return false;
@@ -245,7 +245,7 @@ private:
 
     S.Count.assign(NumBlocks, 0);
     for (const auto &BB : F.blocks()) {
-      const std::vector<BasicBlock *> &Preds = BB->predecessors();
+      const BasicBlock::PredecessorList &Preds = BB->predecessors();
       uint32_t Begin = S.EdgeBegin[BB->id()], End = S.EdgeBegin[BB->id() + 1];
       bool Same = Preds.size() == End - Begin;
       for (uint32_t K = Begin; Same && K < End; ++K)

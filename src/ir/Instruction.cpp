@@ -173,10 +173,9 @@ std::string_view BinOpInst::opcodeName(Opcode Op) {
 // Terminator helpers
 //===----------------------------------------------------------------------===//
 
-std::vector<BasicBlock *> incline::ir::successorsOf(const Instruction *Term) {
+SuccessorList incline::ir::successorsOf(const Instruction *Term) {
   unsigned N = numSuccessors(Term);
-  std::vector<BasicBlock *> Succs;
-  Succs.reserve(N);
+  SuccessorList Succs;
   for (unsigned I = 0; I < N; ++I)
     Succs.push_back(successor(Term, I));
   return Succs;

@@ -55,12 +55,16 @@ public:
   /// flat side tables (see Function::instIdBound).
   unsigned instId() const { return InstId; }
 
+  /// Three inline slots hold every operand list of the lowered suite and
+  /// traffic programs; calls with more arguments spill to the heap.
+  using OperandList = SmallVector<Value *, 3>;
+
   size_t numOperands() const { return Operands.size(); }
   Value *operand(size_t I) const {
     assert(I < Operands.size() && "operand index out of range");
     return Operands[I];
   }
-  const std::vector<Value *> &operands() const { return Operands; }
+  const OperandList &operands() const { return Operands; }
 
   /// Replaces operand \p I, maintaining use lists on both values.
   void setOperand(size_t I, Value *V);
@@ -103,11 +107,14 @@ private:
   BasicBlock *Parent = nullptr;
   unsigned ProfileId = 0;
   unsigned InstId = 0;
-  std::vector<Value *> Operands;
+  OperandList Operands;
 };
 
-// InstId sits in what was padding after ProfileId.
-static_assert(sizeof(Instruction) == 88, "Instruction grew");
+// Value: vtable pointer 8, kind/type/exact bit 16, inline user list 32.
+static_assert(sizeof(Value) == 56, "Value changed size");
+// Instruction: Value 56, parent 8, profile and instruction ids 8 (InstId
+// fills what was padding), inline operand list 40.
+static_assert(sizeof(Instruction) == 112, "Instruction changed size");
 
 //===----------------------------------------------------------------------===//
 // Phi
@@ -145,8 +152,12 @@ public:
   static bool classof(const Value *V) { return V->kind() == ValueKind::Phi; }
 
 private:
-  std::vector<BasicBlock *> Incoming;
+  /// Parallel to the operands; nearly every phi merges two edges.
+  SmallVector<BasicBlock *, 2> Incoming;
 };
+
+// PhiInst: Instruction 112, inline incoming-block list 32.
+static_assert(sizeof(PhiInst) == 144, "PhiInst changed size");
 
 //===----------------------------------------------------------------------===//
 // Arithmetic
@@ -712,8 +723,12 @@ private:
   bool HasState = false;
 };
 
+/// Successor blocks of a terminator; a terminator has at most two, so the
+/// list never leaves its inline storage.
+using SuccessorList = SmallVector<BasicBlock *, 2>;
+
 /// Successor blocks of a terminator instruction, in a fixed order.
-std::vector<BasicBlock *> successorsOf(const Instruction *Term);
+SuccessorList successorsOf(const Instruction *Term);
 
 /// The size of successorsOf(\p Term) and its element \p I, without
 /// building the vector.

@@ -18,6 +18,7 @@
 #ifndef INCLINE_IR_VALUE_H
 #define INCLINE_IR_VALUE_H
 
+#include "support/SmallVector.h"
 #include "types/Type.h"
 
 #include <cassert>
@@ -93,9 +94,13 @@ public:
   bool hasExactType() const { return ExactType; }
   void setExactType(bool Exact) { ExactType = Exact; }
 
+  /// One entry per (user, operand-slot) pair. Two inline slots cover
+  /// about nine values in ten of the lowered suite and traffic programs.
+  using UserList = SmallVector<Instruction *, 2>;
+
   /// Users, with one entry per (user, operand-slot) pair — a user appears
   /// as many times as it references this value.
-  const std::vector<Instruction *> &users() const { return Users; }
+  const UserList &users() const { return Users; }
   bool hasUses() const { return !Users.empty(); }
   size_t numUses() const { return Users.size(); }
 
@@ -114,7 +119,7 @@ private:
   ValueKind Kind;
   types::Type Ty;
   bool ExactType = false;
-  std::vector<Instruction *> Users;
+  UserList Users;
 };
 
 /// A formal parameter of a Function. Slot 0 is the receiver (`this`) for

@@ -108,7 +108,7 @@ void peelOne(Function &F, const PeelableLoop &Shape) {
 
   // Seed: header phis become their entry values in the peeled copy.
   std::unordered_map<const Value *, Value *> Seed;
-  std::vector<PhiInst *> HeaderPhis = H->phis();
+  BasicBlock::PhiList HeaderPhis = H->phis();
   for (PhiInst *Phi : HeaderPhis)
     Seed[Phi] = Phi->incomingValueFor(Pre);
 

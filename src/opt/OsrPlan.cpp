@@ -43,7 +43,7 @@ OsrPlan computeOsrPlan(const Function &F) {
   std::unordered_map<const BasicBlock *, uint8_t> Color;
   struct DFSFrame {
     const BasicBlock *BB;
-    std::vector<BasicBlock *> Succs;
+    SuccessorList Succs;
     size_t Next = 0;
   };
   std::vector<DFSFrame> Stack;
@@ -132,7 +132,7 @@ std::unique_ptr<Function> buildOsrVariant(const Function &Baseline,
   // transferring), keyed by the phi's own baseline profile id. These keep
   // their fresh builder-assigned ids — the cloned phi already carries the
   // baseline id, and frame-state capture resolves through the phi.
-  std::vector<PhiInst *> HeaderPhis = Header->phis();
+  BasicBlock::PhiList HeaderPhis = Header->phis();
   std::vector<Value *> PhiEntries;
   PhiEntries.reserve(HeaderPhis.size());
   for (PhiInst *Phi : HeaderPhis)

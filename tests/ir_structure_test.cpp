@@ -110,6 +110,27 @@ TEST(IRStructureTest, PredecessorMaintenance) {
   Term->dropAllOperands();
 }
 
+// Successor and phi queries return inline lists: a terminator has at most
+// two successors, so successors() never touches the heap.
+TEST(IRStructureTest, EdgeQueriesReturnInlineLists) {
+  auto F = buildLoopFunction();
+  for (const auto &BB : F->blocks()) {
+    SuccessorList Succs = BB->successors();
+    EXPECT_TRUE(Succs.isInline());
+    ASSERT_EQ(Succs.size(), numSuccessors(BB->terminator()));
+    for (unsigned I = 0; I < Succs.size(); ++I)
+      EXPECT_EQ(Succs[I], successor(BB->terminator(), I));
+    EXPECT_EQ(BB->phis().size(), BB->numPhis());
+    EXPECT_TRUE(BB->phis().isInline());
+    EXPECT_TRUE(BB->predecessors().isInline());
+  }
+  BasicBlock *Cond = F->blocks()[1].get();
+  BasicBlock::PhiList Phis = Cond->phis();
+  ASSERT_EQ(Phis.size(), 2u); // i and sum.
+  EXPECT_EQ(Phis[0], Cond->instructions()[0].get());
+  EXPECT_EQ(Phis[1], Cond->instructions()[1].get());
+}
+
 TEST(IRStructureTest, VerifierFlagsPhiIncomingWithoutCFGEdge) {
   auto F = buildLoopFunction();
   BasicBlock *Cond = F->blocks()[1].get();

@@ -8,13 +8,16 @@
 #include "support/Casting.h"
 #include "support/Hash.h"
 #include "support/Random.h"
+#include "support/SmallVector.h"
 #include "support/Statistics.h"
 #include "support/StringUtils.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <thread>
+#include <vector>
 
 using namespace incline;
 
@@ -120,6 +123,106 @@ TEST(HashTest, FnvSeedsArePinned) {
   EXPECT_EQ(fnv1a("incline", FnvShortBasis), 0xb260c0fedd0ab573ull);
   EXPECT_EQ(fnv1a(uint64_t{42}, FnvOffsetBasis), 0xff3add6b3789daefull);
   EXPECT_EQ(fnv1a(uint64_t{42}, FnvShortBasis), 0xe13798d64f1352c9ull);
+}
+
+//===----------------------------------------------------------------------===//
+// SmallVector
+//===----------------------------------------------------------------------===//
+
+template <typename T, unsigned N>
+std::vector<T> asVector(const SmallVector<T, N> &V) {
+  return std::vector<T>(V.begin(), V.end());
+}
+
+TEST(SmallVectorTest, GrowsPastInlineCapacityKeepingOrder) {
+  SmallVector<int, 2> V;
+  EXPECT_TRUE(V.isInline());
+  EXPECT_EQ(V.capacity(), 2u);
+  V.push_back(1);
+  V.push_back(2);
+  EXPECT_TRUE(V.isInline());
+  V.push_back(3); // Spills to the heap.
+  EXPECT_FALSE(V.isInline());
+  EXPECT_GE(V.capacity(), 3u);
+  for (int I = 4; I <= 100; ++I)
+    V.push_back(I);
+  ASSERT_EQ(V.size(), 100u);
+  for (int I = 0; I < 100; ++I)
+    EXPECT_EQ(V[static_cast<size_t>(I)], I + 1);
+  EXPECT_EQ(V.front(), 1);
+  EXPECT_EQ(V.back(), 100);
+  V.clear();
+  EXPECT_TRUE(V.empty());
+  V.push_back(7); // Reuses the heap buffer.
+  EXPECT_EQ(asVector(V), std::vector<int>{7});
+}
+
+TEST(SmallVectorTest, EraseKeepsOrderInlineAndOnHeap) {
+  SmallVector<int, 4> Inline{10, 20, 30};
+  auto It = Inline.erase(Inline.begin() + 1);
+  EXPECT_EQ(*It, 30);
+  EXPECT_EQ(asVector(Inline), (std::vector<int>{10, 30}));
+  Inline.erase(Inline.end() - 1);
+  EXPECT_EQ(asVector(Inline), std::vector<int>{10});
+
+  SmallVector<int, 2> Heap{1, 2, 3, 4, 5};
+  EXPECT_FALSE(Heap.isInline());
+  Heap.erase(Heap.begin());
+  Heap.erase(Heap.begin() + 2);
+  EXPECT_EQ(asVector(Heap), (std::vector<int>{2, 3, 5}));
+}
+
+// Value::removeUser swap-pops; the printed order of every use list depends
+// on that giving exactly what a std::vector gives.
+TEST(SmallVectorTest, SwapPopAndEraseMatchStdVector) {
+  SplitMix64 R(12345);
+  SmallVector<int, 2> Small;
+  std::vector<int> Ref;
+  for (int Step = 0; Step < 5000; ++Step) {
+    int Op = static_cast<int>(R.nextBelow(4));
+    if (Op <= 1 || Ref.empty()) {
+      int Val = static_cast<int>(R.nextBelow(50));
+      Small.push_back(Val);
+      Ref.push_back(Val);
+    } else if (Op == 2) { // Swap-pop the first occurrence of a value.
+      int Val = Ref[R.nextBelow(Ref.size())];
+      auto SIt = std::find(Small.begin(), Small.end(), Val);
+      *SIt = Small.back();
+      Small.pop_back();
+      auto RIt = std::find(Ref.begin(), Ref.end(), Val);
+      *RIt = Ref.back();
+      Ref.pop_back();
+    } else { // Order-keeping erase at a random position.
+      size_t Pos = R.nextBelow(Ref.size());
+      Small.erase(Small.begin() + static_cast<long>(Pos));
+      Ref.erase(Ref.begin() + static_cast<long>(Pos));
+    }
+    ASSERT_EQ(asVector(Small), Ref) << "diverged at step " << Step;
+  }
+}
+
+TEST(SmallVectorTest, CopyAndMoveKeepContents) {
+  SmallVector<int, 2> Inline{1, 2};
+  SmallVector<int, 2> Heap{1, 2, 3, 4};
+
+  SmallVector<int, 2> CopyOfHeap(Heap);
+  EXPECT_EQ(CopyOfHeap, Heap);
+  SmallVector<int, 2> MovedInline(std::move(Inline));
+  EXPECT_EQ(asVector(MovedInline), (std::vector<int>{1, 2}));
+  EXPECT_TRUE(MovedInline.isInline());
+
+  const int *HeapData = Heap.data();
+  SmallVector<int, 2> MovedHeap(std::move(Heap));
+  EXPECT_EQ(MovedHeap.data(), HeapData); // The buffer moves, not the items.
+  EXPECT_EQ(asVector(MovedHeap), (std::vector<int>{1, 2, 3, 4}));
+  EXPECT_TRUE(Heap.empty());
+  EXPECT_TRUE(Heap.isInline());
+
+  MovedInline = MovedHeap; // Copy-assign onto a smaller vector.
+  EXPECT_EQ(MovedInline, MovedHeap);
+  MovedHeap = SmallVector<int, 2>{9};
+  EXPECT_EQ(asVector(MovedHeap), std::vector<int>{9});
+  EXPECT_TRUE(MovedHeap.isInline());
 }
 
 //===----------------------------------------------------------------------===//
