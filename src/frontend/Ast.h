@@ -9,6 +9,14 @@
 /// that semantic analysis fills in (resolved types, local variable ids,
 /// field slots, resolved methods) so lowering never re-resolves names.
 ///
+/// Ownership: every `Expr` and `Stmt` node, every child list and every
+/// identifier lives in the `AstArena` of the `Program` that was parsed
+/// (see AstArena.h). Child links are plain pointers, lists are spans and
+/// names are interned views, all valid while the Program lives. Nodes are
+/// trivially destructible and have no virtual functions; the kind field
+/// drives `isa`/`cast`. Declarations (`FunctionDecl`, `ClassDecl`) are
+/// ordinary heap objects owned by the Program.
+///
 /// MiniOO in one screen:
 /// \code
 ///   class Shape { var area: int; def describe(): int { return this.area; } }
@@ -26,6 +34,7 @@
 #ifndef INCLINE_FRONTEND_AST_H
 #define INCLINE_FRONTEND_AST_H
 
+#include "frontend/AstArena.h"
 #include "frontend/SourceLocation.h"
 #include "support/Casting.h"
 #include "types/Type.h"
@@ -33,7 +42,10 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
+#include <string_view>
+#include <type_traits>
 #include <vector>
 
 namespace incline::types {
@@ -47,7 +59,7 @@ namespace incline::frontend {
 struct TypeRef {
   enum class Kind : uint8_t { Void, Int, Bool, Named, IntArray, NamedArray };
   Kind K = Kind::Void;
-  std::string Name; ///< For Named / NamedArray.
+  std::string_view Name; ///< For Named / NamedArray (interned).
   SourceLocation Loc;
 };
 
@@ -76,7 +88,6 @@ enum class ExprKind : uint8_t {
 /// Base class of expressions. `type()` is set by Sema.
 class Expr {
 public:
-  virtual ~Expr() = default;
   ExprKind kind() const { return Kind; }
   SourceLocation loc() const { return Loc; }
 
@@ -92,7 +103,8 @@ private:
   types::Type Ty;
 };
 
-using ExprPtr = std::unique_ptr<Expr>;
+/// A list of child expressions (call arguments), stored in the arena.
+using ExprList = std::span<Expr *const>;
 
 class IntLitExpr : public Expr {
 public:
@@ -131,15 +143,15 @@ public:
 /// Reference to a local variable or parameter. Sema sets `localId()`.
 class VarRefExpr : public Expr {
 public:
-  VarRefExpr(std::string Name, SourceLocation Loc)
-      : Expr(ExprKind::VarRef, Loc), Name(std::move(Name)) {}
-  const std::string &name() const { return Name; }
+  VarRefExpr(std::string_view Name, SourceLocation Loc)
+      : Expr(ExprKind::VarRef, Loc), Name(Name) {}
+  std::string_view name() const { return Name; }
   int localId() const { return LocalId; }
   void setLocalId(int Id) { LocalId = Id; }
   static bool classof(const Expr *E) { return E->kind() == ExprKind::VarRef; }
 
 private:
-  std::string Name;
+  std::string_view Name;
   int LocalId = -1;
 };
 
@@ -151,58 +163,56 @@ public:
     Eq, Ne, Lt, Le, Gt, Ge,
   };
 
-  BinaryExpr(Op O, ExprPtr Lhs, ExprPtr Rhs, SourceLocation Loc)
-      : Expr(ExprKind::Binary, Loc), O(O), Lhs(std::move(Lhs)),
-        Rhs(std::move(Rhs)) {}
+  BinaryExpr(Op O, Expr *Lhs, Expr *Rhs, SourceLocation Loc)
+      : Expr(ExprKind::Binary, Loc), O(O), Lhs(Lhs), Rhs(Rhs) {}
   Op op() const { return O; }
-  Expr *lhs() const { return Lhs.get(); }
-  Expr *rhs() const { return Rhs.get(); }
+  Expr *lhs() const { return Lhs; }
+  Expr *rhs() const { return Rhs; }
   static bool classof(const Expr *E) { return E->kind() == ExprKind::Binary; }
 
 private:
   Op O;
-  ExprPtr Lhs, Rhs;
+  Expr *Lhs, *Rhs;
 };
 
 class UnaryExpr : public Expr {
 public:
   enum class Op : uint8_t { Neg, Not };
-  UnaryExpr(Op O, ExprPtr Sub, SourceLocation Loc)
-      : Expr(ExprKind::Unary, Loc), O(O), Sub(std::move(Sub)) {}
+  UnaryExpr(Op O, Expr *Sub, SourceLocation Loc)
+      : Expr(ExprKind::Unary, Loc), O(O), Sub(Sub) {}
   Op op() const { return O; }
-  Expr *sub() const { return Sub.get(); }
+  Expr *sub() const { return Sub; }
   static bool classof(const Expr *E) { return E->kind() == ExprKind::Unary; }
 
 private:
   Op O;
-  ExprPtr Sub;
+  Expr *Sub;
 };
 
 /// Call to a free function: `f(a, b)`.
 class CallExpr : public Expr {
 public:
-  CallExpr(std::string Callee, std::vector<ExprPtr> Args, SourceLocation Loc)
-      : Expr(ExprKind::Call, Loc), Callee(std::move(Callee)),
-        Args(std::move(Args)) {}
-  const std::string &callee() const { return Callee; }
-  const std::vector<ExprPtr> &args() const { return Args; }
+  CallExpr(std::string_view Callee, ExprList Args, SourceLocation Loc)
+      : Expr(ExprKind::Call, Loc), Callee(Callee), Args(Args) {}
+  std::string_view callee() const { return Callee; }
+  ExprList args() const { return Args; }
   static bool classof(const Expr *E) { return E->kind() == ExprKind::Call; }
 
 private:
-  std::string Callee;
-  std::vector<ExprPtr> Args;
+  std::string_view Callee;
+  ExprList Args;
 };
 
 /// Virtual method call: `recv.m(a, b)`. Sema resolves the static target.
 class MethodCallExpr : public Expr {
 public:
-  MethodCallExpr(ExprPtr Receiver, std::string Method,
-                 std::vector<ExprPtr> Args, SourceLocation Loc)
-      : Expr(ExprKind::MethodCall, Loc), Receiver(std::move(Receiver)),
-        Method(std::move(Method)), Args(std::move(Args)) {}
-  Expr *receiver() const { return Receiver.get(); }
-  const std::string &method() const { return Method; }
-  const std::vector<ExprPtr> &args() const { return Args; }
+  MethodCallExpr(Expr *Receiver, std::string_view Method,
+                 ExprList Args, SourceLocation Loc)
+      : Expr(ExprKind::MethodCall, Loc), Receiver(Receiver),
+        Method(Method), Args(Args) {}
+  Expr *receiver() const { return Receiver; }
+  std::string_view method() const { return Method; }
+  ExprList args() const { return Args; }
   const types::MethodInfo *resolved() const { return Resolved; }
   void setResolved(const types::MethodInfo *M) { Resolved = M; }
   static bool classof(const Expr *E) {
@@ -210,23 +220,19 @@ public:
   }
 
 private:
-  ExprPtr Receiver;
-  std::string Method;
-  std::vector<ExprPtr> Args;
+  Expr *Receiver;
+  std::string_view Method;
+  ExprList Args;
   const types::MethodInfo *Resolved = nullptr;
 };
 
 /// Field read `obj.f`, or `arr.length` (Sema sets `isArrayLength()`).
 class FieldAccessExpr : public Expr {
 public:
-  FieldAccessExpr(ExprPtr Object, std::string Field, SourceLocation Loc)
-      : Expr(ExprKind::FieldAccess, Loc), Object(std::move(Object)),
-        Field(std::move(Field)) {}
-  Expr *object() const { return Object.get(); }
-  /// Releases ownership of the object expression (used when the parser
-  /// re-shapes `obj.f = v` into an AssignFieldStmt).
-  Expr *takeObject() { return Object.release(); }
-  const std::string &field() const { return Field; }
+  FieldAccessExpr(Expr *Object, std::string_view Field, SourceLocation Loc)
+      : Expr(ExprKind::FieldAccess, Loc), Object(Object), Field(Field) {}
+  Expr *object() const { return Object; }
+  std::string_view field() const { return Field; }
   unsigned fieldSlot() const { return FieldSlot; }
   void setFieldSlot(unsigned Slot) { FieldSlot = Slot; }
   bool isArrayLength() const { return ArrayLength; }
@@ -236,8 +242,8 @@ public:
   }
 
 private:
-  ExprPtr Object;
-  std::string Field;
+  Expr *Object;
+  std::string_view Field;
   unsigned FieldSlot = 0;
   bool ArrayLength = false;
 };
@@ -245,26 +251,22 @@ private:
 /// Array element read `arr[i]`.
 class IndexExpr : public Expr {
 public:
-  IndexExpr(ExprPtr Array, ExprPtr Index, SourceLocation Loc)
-      : Expr(ExprKind::Index, Loc), Array(std::move(Array)),
-        Index(std::move(Index)) {}
-  Expr *array() const { return Array.get(); }
-  Expr *index() const { return Index.get(); }
-  /// Ownership-releasing accessors for the parser's assignment re-shaping.
-  Expr *takeArray() { return Array.release(); }
-  Expr *takeIndex() { return Index.release(); }
+  IndexExpr(Expr *Array, Expr *Index, SourceLocation Loc)
+      : Expr(ExprKind::Index, Loc), Array(Array), Index(Index) {}
+  Expr *array() const { return Array; }
+  Expr *index() const { return Index; }
   static bool classof(const Expr *E) { return E->kind() == ExprKind::Index; }
 
 private:
-  ExprPtr Array, Index;
+  Expr *Array, *Index;
 };
 
 /// `new C()`.
 class NewObjectExpr : public Expr {
 public:
-  NewObjectExpr(std::string ClassName, SourceLocation Loc)
-      : Expr(ExprKind::NewObject, Loc), ClassName(std::move(ClassName)) {}
-  const std::string &className() const { return ClassName; }
+  NewObjectExpr(std::string_view ClassName, SourceLocation Loc)
+      : Expr(ExprKind::NewObject, Loc), ClassName(ClassName) {}
+  std::string_view className() const { return ClassName; }
   int classId() const { return ClassId; }
   void setClassId(int Id) { ClassId = Id; }
   static bool classof(const Expr *E) {
@@ -272,60 +274,57 @@ public:
   }
 
 private:
-  std::string ClassName;
+  std::string_view ClassName;
   int ClassId = -1;
 };
 
 /// `new int[n]` / `new C[n]`.
 class NewArrayExpr : public Expr {
 public:
-  NewArrayExpr(TypeRef ElemTy, ExprPtr Length, SourceLocation Loc)
-      : Expr(ExprKind::NewArray, Loc), ElemTy(std::move(ElemTy)),
-        Length(std::move(Length)) {}
+  NewArrayExpr(TypeRef ElemTy, Expr *Length, SourceLocation Loc)
+      : Expr(ExprKind::NewArray, Loc), ElemTy(ElemTy), Length(Length) {}
   const TypeRef &elemType() const { return ElemTy; }
-  Expr *length() const { return Length.get(); }
+  Expr *length() const { return Length; }
   static bool classof(const Expr *E) {
     return E->kind() == ExprKind::NewArray;
   }
 
 private:
   TypeRef ElemTy;
-  ExprPtr Length;
+  Expr *Length;
 };
 
 /// `e is C`.
 class IsExpr : public Expr {
 public:
-  IsExpr(ExprPtr Object, std::string ClassName, SourceLocation Loc)
-      : Expr(ExprKind::Is, Loc), Object(std::move(Object)),
-        ClassName(std::move(ClassName)) {}
-  Expr *object() const { return Object.get(); }
-  const std::string &className() const { return ClassName; }
+  IsExpr(Expr *Object, std::string_view ClassName, SourceLocation Loc)
+      : Expr(ExprKind::Is, Loc), Object(Object), ClassName(ClassName) {}
+  Expr *object() const { return Object; }
+  std::string_view className() const { return ClassName; }
   int classId() const { return ClassId; }
   void setClassId(int Id) { ClassId = Id; }
   static bool classof(const Expr *E) { return E->kind() == ExprKind::Is; }
 
 private:
-  ExprPtr Object;
-  std::string ClassName;
+  Expr *Object;
+  std::string_view ClassName;
   int ClassId = -1;
 };
 
 /// `e as C`.
 class AsExpr : public Expr {
 public:
-  AsExpr(ExprPtr Object, std::string ClassName, SourceLocation Loc)
-      : Expr(ExprKind::As, Loc), Object(std::move(Object)),
-        ClassName(std::move(ClassName)) {}
-  Expr *object() const { return Object.get(); }
-  const std::string &className() const { return ClassName; }
+  AsExpr(Expr *Object, std::string_view ClassName, SourceLocation Loc)
+      : Expr(ExprKind::As, Loc), Object(Object), ClassName(ClassName) {}
+  Expr *object() const { return Object; }
+  std::string_view className() const { return ClassName; }
   int classId() const { return ClassId; }
   void setClassId(int Id) { ClassId = Id; }
   static bool classof(const Expr *E) { return E->kind() == ExprKind::As; }
 
 private:
-  ExprPtr Object;
-  std::string ClassName;
+  Expr *Object;
+  std::string_view ClassName;
   int ClassId = -1;
 };
 
@@ -348,7 +347,6 @@ enum class StmtKind : uint8_t {
 
 class Stmt {
 public:
-  virtual ~Stmt() = default;
   StmtKind kind() const { return Kind; }
   SourceLocation loc() const { return Loc; }
 
@@ -360,29 +358,30 @@ private:
   SourceLocation Loc;
 };
 
-using StmtPtr = std::unique_ptr<Stmt>;
+/// A list of statements (a block's body), stored in the arena.
+using StmtList = std::span<Stmt *const>;
 
 class BlockStmt : public Stmt {
 public:
-  BlockStmt(std::vector<StmtPtr> Stmts, SourceLocation Loc)
-      : Stmt(StmtKind::Block, Loc), Stmts(std::move(Stmts)) {}
-  const std::vector<StmtPtr> &statements() const { return Stmts; }
+  BlockStmt(StmtList Stmts, SourceLocation Loc)
+      : Stmt(StmtKind::Block, Loc), Stmts(Stmts) {}
+  StmtList statements() const { return Stmts; }
   static bool classof(const Stmt *S) { return S->kind() == StmtKind::Block; }
 
 private:
-  std::vector<StmtPtr> Stmts;
+  StmtList Stmts;
 };
 
 /// `var x: T = init;` (type optional — inferred from the initializer).
 class VarDeclStmt : public Stmt {
 public:
-  VarDeclStmt(std::string Name, std::optional<TypeRef> DeclaredTy,
-              ExprPtr Init, SourceLocation Loc)
-      : Stmt(StmtKind::VarDecl, Loc), Name(std::move(Name)),
-        DeclaredTy(std::move(DeclaredTy)), Init(std::move(Init)) {}
-  const std::string &name() const { return Name; }
+  VarDeclStmt(std::string_view Name, std::optional<TypeRef> DeclaredTy,
+              Expr *Init, SourceLocation Loc)
+      : Stmt(StmtKind::VarDecl, Loc), Name(Name),
+        DeclaredTy(DeclaredTy), Init(Init) {}
+  std::string_view name() const { return Name; }
   const std::optional<TypeRef> &declaredType() const { return DeclaredTy; }
-  Expr *init() const { return Init.get(); }
+  Expr *init() const { return Init; }
   int localId() const { return LocalId; }
   void setLocalId(int Id) { LocalId = Id; }
   types::Type varType() const { return VarTy; }
@@ -390,9 +389,9 @@ public:
   static bool classof(const Stmt *S) { return S->kind() == StmtKind::VarDecl; }
 
 private:
-  std::string Name;
+  std::string_view Name;
   std::optional<TypeRef> DeclaredTy;
-  ExprPtr Init;
+  Expr *Init;
   int LocalId = -1;
   types::Type VarTy;
 };
@@ -400,11 +399,10 @@ private:
 /// `x = e;`
 class AssignLocalStmt : public Stmt {
 public:
-  AssignLocalStmt(std::string Name, ExprPtr Value, SourceLocation Loc)
-      : Stmt(StmtKind::AssignLocal, Loc), Name(std::move(Name)),
-        Value(std::move(Value)) {}
-  const std::string &name() const { return Name; }
-  Expr *value() const { return Value.get(); }
+  AssignLocalStmt(std::string_view Name, Expr *Value, SourceLocation Loc)
+      : Stmt(StmtKind::AssignLocal, Loc), Name(Name), Value(Value) {}
+  std::string_view name() const { return Name; }
+  Expr *value() const { return Value; }
   int localId() const { return LocalId; }
   void setLocalId(int Id) { LocalId = Id; }
   static bool classof(const Stmt *S) {
@@ -412,21 +410,21 @@ public:
   }
 
 private:
-  std::string Name;
-  ExprPtr Value;
+  std::string_view Name;
+  Expr *Value;
   int LocalId = -1;
 };
 
 /// `obj.f = e;`
 class AssignFieldStmt : public Stmt {
 public:
-  AssignFieldStmt(ExprPtr Object, std::string Field, ExprPtr Value,
+  AssignFieldStmt(Expr *Object, std::string_view Field, Expr *Value,
                   SourceLocation Loc)
-      : Stmt(StmtKind::AssignField, Loc), Object(std::move(Object)),
-        Field(std::move(Field)), Value(std::move(Value)) {}
-  Expr *object() const { return Object.get(); }
-  const std::string &field() const { return Field; }
-  Expr *value() const { return Value.get(); }
+      : Stmt(StmtKind::AssignField, Loc), Object(Object),
+        Field(Field), Value(Value) {}
+  Expr *object() const { return Object; }
+  std::string_view field() const { return Field; }
+  Expr *value() const { return Value; }
   unsigned fieldSlot() const { return FieldSlot; }
   void setFieldSlot(unsigned Slot) { FieldSlot = Slot; }
   static bool classof(const Stmt *S) {
@@ -434,92 +432,118 @@ public:
   }
 
 private:
-  ExprPtr Object;
-  std::string Field;
-  ExprPtr Value;
+  Expr *Object;
+  std::string_view Field;
+  Expr *Value;
   unsigned FieldSlot = 0;
 };
 
 /// `arr[i] = e;`
 class AssignIndexStmt : public Stmt {
 public:
-  AssignIndexStmt(ExprPtr Array, ExprPtr Index, ExprPtr Value,
+  AssignIndexStmt(Expr *Array, Expr *Index, Expr *Value,
                   SourceLocation Loc)
-      : Stmt(StmtKind::AssignIndex, Loc), Array(std::move(Array)),
-        Index(std::move(Index)), Value(std::move(Value)) {}
-  Expr *array() const { return Array.get(); }
-  Expr *index() const { return Index.get(); }
-  Expr *value() const { return Value.get(); }
+      : Stmt(StmtKind::AssignIndex, Loc), Array(Array),
+        Index(Index), Value(Value) {}
+  Expr *array() const { return Array; }
+  Expr *index() const { return Index; }
+  Expr *value() const { return Value; }
   static bool classof(const Stmt *S) {
     return S->kind() == StmtKind::AssignIndex;
   }
 
 private:
-  ExprPtr Array, Index, Value;
+  Expr *Array, *Index, *Value;
 };
 
 class IfStmt : public Stmt {
 public:
-  IfStmt(ExprPtr Cond, StmtPtr Then, StmtPtr Else, SourceLocation Loc)
-      : Stmt(StmtKind::If, Loc), Cond(std::move(Cond)), Then(std::move(Then)),
-        Else(std::move(Else)) {}
-  Expr *condition() const { return Cond.get(); }
-  Stmt *thenStmt() const { return Then.get(); }
-  Stmt *elseStmt() const { return Else.get(); } ///< May be null.
+  IfStmt(Expr *Cond, Stmt * Then, Stmt * Else, SourceLocation Loc)
+      : Stmt(StmtKind::If, Loc), Cond(Cond), Then(Then), Else(Else) {}
+  Expr *condition() const { return Cond; }
+  Stmt *thenStmt() const { return Then; }
+  Stmt *elseStmt() const { return Else; } ///< May be null.
   static bool classof(const Stmt *S) { return S->kind() == StmtKind::If; }
 
 private:
-  ExprPtr Cond;
-  StmtPtr Then, Else;
+  Expr *Cond;
+  Stmt *Then, *Else;
 };
 
 class WhileStmt : public Stmt {
 public:
-  WhileStmt(ExprPtr Cond, StmtPtr Body, SourceLocation Loc)
-      : Stmt(StmtKind::While, Loc), Cond(std::move(Cond)),
-        Body(std::move(Body)) {}
-  Expr *condition() const { return Cond.get(); }
-  Stmt *body() const { return Body.get(); }
+  WhileStmt(Expr *Cond, Stmt * Body, SourceLocation Loc)
+      : Stmt(StmtKind::While, Loc), Cond(Cond), Body(Body) {}
+  Expr *condition() const { return Cond; }
+  Stmt *body() const { return Body; }
   static bool classof(const Stmt *S) { return S->kind() == StmtKind::While; }
 
 private:
-  ExprPtr Cond;
-  StmtPtr Body;
+  Expr *Cond;
+  Stmt * Body;
 };
 
 class ReturnStmt : public Stmt {
 public:
-  ReturnStmt(ExprPtr Value, SourceLocation Loc)
-      : Stmt(StmtKind::Return, Loc), Value(std::move(Value)) {}
-  Expr *value() const { return Value.get(); } ///< May be null.
+  ReturnStmt(Expr *Value, SourceLocation Loc)
+      : Stmt(StmtKind::Return, Loc), Value(Value) {}
+  Expr *value() const { return Value; } ///< May be null.
   static bool classof(const Stmt *S) { return S->kind() == StmtKind::Return; }
 
 private:
-  ExprPtr Value;
+  Expr *Value;
 };
 
 class PrintStmt : public Stmt {
 public:
-  PrintStmt(ExprPtr Value, SourceLocation Loc)
-      : Stmt(StmtKind::Print, Loc), Value(std::move(Value)) {}
-  Expr *value() const { return Value.get(); }
+  PrintStmt(Expr *Value, SourceLocation Loc)
+      : Stmt(StmtKind::Print, Loc), Value(Value) {}
+  Expr *value() const { return Value; }
   static bool classof(const Stmt *S) { return S->kind() == StmtKind::Print; }
 
 private:
-  ExprPtr Value;
+  Expr *Value;
 };
 
 /// A call evaluated for effect: `f(x);` / `o.m();`.
 class ExprStmt : public Stmt {
 public:
-  ExprStmt(ExprPtr E, SourceLocation Loc)
-      : Stmt(StmtKind::ExprStmt, Loc), E(std::move(E)) {}
-  Expr *expr() const { return E.get(); }
+  ExprStmt(Expr *E, SourceLocation Loc)
+      : Stmt(StmtKind::ExprStmt, Loc), E(E) {}
+  Expr *expr() const { return E; }
   static bool classof(const Stmt *S) { return S->kind() == StmtKind::ExprStmt; }
 
 private:
-  ExprPtr E;
+  Expr *E;
 };
+
+// The Program's arena frees nodes without destroying them.
+static_assert(std::is_trivially_destructible_v<IntLitExpr> &&
+                  std::is_trivially_destructible_v<BoolLitExpr> &&
+                  std::is_trivially_destructible_v<NullLitExpr> &&
+                  std::is_trivially_destructible_v<ThisExpr> &&
+                  std::is_trivially_destructible_v<VarRefExpr> &&
+                  std::is_trivially_destructible_v<BinaryExpr> &&
+                  std::is_trivially_destructible_v<UnaryExpr> &&
+                  std::is_trivially_destructible_v<CallExpr> &&
+                  std::is_trivially_destructible_v<MethodCallExpr> &&
+                  std::is_trivially_destructible_v<FieldAccessExpr> &&
+                  std::is_trivially_destructible_v<IndexExpr> &&
+                  std::is_trivially_destructible_v<NewObjectExpr> &&
+                  std::is_trivially_destructible_v<NewArrayExpr> &&
+                  std::is_trivially_destructible_v<IsExpr> &&
+                  std::is_trivially_destructible_v<AsExpr> &&
+                  std::is_trivially_destructible_v<BlockStmt> &&
+                  std::is_trivially_destructible_v<VarDeclStmt> &&
+                  std::is_trivially_destructible_v<AssignLocalStmt> &&
+                  std::is_trivially_destructible_v<AssignFieldStmt> &&
+                  std::is_trivially_destructible_v<AssignIndexStmt> &&
+                  std::is_trivially_destructible_v<IfStmt> &&
+                  std::is_trivially_destructible_v<WhileStmt> &&
+                  std::is_trivially_destructible_v<ReturnStmt> &&
+                  std::is_trivially_destructible_v<PrintStmt> &&
+                  std::is_trivially_destructible_v<ExprStmt>,
+              "every AST node must be trivially destructible");
 
 //===----------------------------------------------------------------------===//
 // Declarations
@@ -538,7 +562,7 @@ struct FunctionDecl {
   std::string OwnerClass; ///< Empty for free functions.
   std::vector<ParamDecl> Params;
   TypeRef ReturnTy; ///< Kind::Void when omitted.
-  std::unique_ptr<BlockStmt> Body;
+  BlockStmt *Body = nullptr; ///< In the Program's arena.
   SourceLocation Loc;
 
   /// Sema results.
@@ -563,8 +587,10 @@ struct ClassDecl {
   SourceLocation Loc;
 };
 
-/// A parsed compilation unit.
+/// A parsed compilation unit. Declared first, the arena outlives the
+/// declarations that point into it.
 struct Program {
+  AstArena Arena;
   std::vector<std::unique_ptr<ClassDecl>> Classes;
   std::vector<std::unique_ptr<FunctionDecl>> Functions;
 };

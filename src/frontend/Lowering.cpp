@@ -35,7 +35,7 @@ public:
     for (size_t I = 0; I < F.numParams(); ++I)
       writeVariable(static_cast<int>(I), Entry, F.arg(I));
 
-    lowerStmt(Decl.Body.get());
+    lowerStmt(Decl.Body);
 
     // Implicit return at fall-through.
     if (Builder.insertBlock() && !Builder.isTerminated()) {
@@ -183,10 +183,10 @@ private:
       return; // Dead code after return.
     switch (S->kind()) {
     case StmtKind::Block:
-      for (const StmtPtr &Child : cast<BlockStmt>(S)->statements()) {
+      for (const Stmt *Child : cast<BlockStmt>(S)->statements()) {
         if (!reachable())
           return;
-        lowerStmt(Child.get());
+        lowerStmt(Child);
       }
       return;
     case StmtKind::VarDecl: {
@@ -328,17 +328,18 @@ private:
     case ExprKind::Call: {
       const auto *Call = cast<CallExpr>(E);
       std::vector<Value *> Args;
-      for (const ExprPtr &Arg : Call->args())
-        Args.push_back(lowerExpr(Arg.get()));
-      return Builder.call(Call->callee(), Args, E->type());
+      for (const Expr *Arg : Call->args())
+        Args.push_back(lowerExpr(Arg));
+      return Builder.call(std::string(Call->callee()), Args, E->type());
     }
     case ExprKind::MethodCall: {
       const auto *MCall = cast<MethodCallExpr>(E);
       Value *Recv = lowerExpr(MCall->receiver());
       std::vector<Value *> Args;
-      for (const ExprPtr &Arg : MCall->args())
-        Args.push_back(lowerExpr(Arg.get()));
-      return Builder.virtualCall(MCall->method(), Recv, Args, E->type());
+      for (const Expr *Arg : MCall->args())
+        Args.push_back(lowerExpr(Arg));
+      return Builder.virtualCall(std::string(MCall->method()), Recv, Args,
+                                 E->type());
     }
     case ExprKind::FieldAccess: {
       const auto *FA = cast<FieldAccessExpr>(E);

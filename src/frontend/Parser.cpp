@@ -6,6 +6,7 @@
 
 #include "frontend/Parser.h"
 
+#include "support/SmallVector.h"
 #include "support/StringUtils.h"
 
 using namespace incline;
@@ -69,6 +70,7 @@ void Parser::synchronizeToStmt() {
 
 std::unique_ptr<Program> Parser::parseProgram() {
   auto Prog = std::make_unique<Program>();
+  Arena = &Prog->Arena;
   while (!check(TokenKind::EndOfFile)) {
     if (check(TokenKind::KwClass)) {
       if (auto C = parseClass())
@@ -197,7 +199,7 @@ TypeRef Parser::parseType() {
     Ty.K = TypeRef::Kind::Bool;
   } else if (check(TokenKind::Identifier)) {
     Ty.K = TypeRef::Kind::Named;
-    Ty.Name = std::string(advance().Text);
+    Ty.Name = intern(advance().Text);
   } else {
     error(current().Loc, "expected a type");
     Ty.K = TypeRef::Kind::Int; // Recover with a plausible type.
@@ -221,22 +223,22 @@ TypeRef Parser::parseType() {
 // Statements
 //===----------------------------------------------------------------------===//
 
-std::unique_ptr<BlockStmt> Parser::parseBlock() {
+BlockStmt *Parser::parseBlock() {
   SourceLocation Loc = current().Loc;
   if (!expect(TokenKind::LBrace, "'{'"))
     return nullptr;
-  std::vector<StmtPtr> Stmts;
+  SmallVector<Stmt *, 16> Stmts;
   while (!check(TokenKind::RBrace) && !check(TokenKind::EndOfFile)) {
-    if (StmtPtr S = parseStatement())
-      Stmts.push_back(std::move(S));
+    if (Stmt *S = parseStatement())
+      Stmts.push_back(S);
     else
       synchronizeToStmt();
   }
   expect(TokenKind::RBrace, "'}' closing block");
-  return std::make_unique<BlockStmt>(std::move(Stmts), Loc);
+  return make<BlockStmt>(Arena->copyList<Stmt>(Stmts), Loc);
 }
 
-StmtPtr Parser::parseStatement() {
+Stmt *Parser::parseStatement() {
   switch (current().Kind) {
   case TokenKind::KwVar:
     return parseVarDecl();
@@ -255,39 +257,38 @@ StmtPtr Parser::parseStatement() {
   }
 }
 
-StmtPtr Parser::parseVarDecl() {
+Stmt *Parser::parseVarDecl() {
   SourceLocation Loc = advance().Loc; // 'var'
   if (!check(TokenKind::Identifier)) {
     error(current().Loc, "expected variable name");
     return nullptr;
   }
-  std::string Name = std::string(advance().Text);
+  std::string_view Name = intern(advance().Text);
   std::optional<TypeRef> DeclaredTy;
   if (match(TokenKind::Colon))
     DeclaredTy = parseType();
   if (!expect(TokenKind::Assign, "'=' (variables must be initialized)"))
     return nullptr;
-  ExprPtr Init = parseExpr();
+  Expr *Init = parseExpr();
   if (!Init)
     return nullptr;
   expect(TokenKind::Semicolon, "';' after variable declaration");
-  return std::make_unique<VarDeclStmt>(std::move(Name), std::move(DeclaredTy),
-                                       std::move(Init), Loc);
+  return make<VarDeclStmt>(Name, DeclaredTy, Init, Loc);
 }
 
-StmtPtr Parser::parseIf() {
+Stmt *Parser::parseIf() {
   SourceLocation Loc = advance().Loc; // 'if'
   if (!expect(TokenKind::LParen, "'(' after 'if'"))
     return nullptr;
-  ExprPtr Cond = parseExpr();
+  Expr *Cond = parseExpr();
   if (!Cond)
     return nullptr;
   if (!expect(TokenKind::RParen, "')' after condition"))
     return nullptr;
-  StmtPtr Then = parseBlock();
+  Stmt *Then = parseBlock();
   if (!Then)
     return nullptr;
-  StmtPtr Else;
+  Stmt *Else = nullptr;
   if (match(TokenKind::KwElse)) {
     if (check(TokenKind::KwIf))
       Else = parseIf();
@@ -296,137 +297,121 @@ StmtPtr Parser::parseIf() {
     if (!Else)
       return nullptr;
   }
-  return std::make_unique<IfStmt>(std::move(Cond), std::move(Then),
-                                  std::move(Else), Loc);
+  return make<IfStmt>(Cond, Then, Else, Loc);
 }
 
-StmtPtr Parser::parseWhile() {
+Stmt *Parser::parseWhile() {
   SourceLocation Loc = advance().Loc; // 'while'
   if (!expect(TokenKind::LParen, "'(' after 'while'"))
     return nullptr;
-  ExprPtr Cond = parseExpr();
+  Expr *Cond = parseExpr();
   if (!Cond)
     return nullptr;
   if (!expect(TokenKind::RParen, "')' after condition"))
     return nullptr;
-  StmtPtr Body = parseBlock();
+  Stmt *Body = parseBlock();
   if (!Body)
     return nullptr;
-  return std::make_unique<WhileStmt>(std::move(Cond), std::move(Body), Loc);
+  return make<WhileStmt>(Cond, Body, Loc);
 }
 
-StmtPtr Parser::parseReturn() {
+Stmt *Parser::parseReturn() {
   SourceLocation Loc = advance().Loc; // 'return'
-  ExprPtr Value;
+  Expr *Value = nullptr;
   if (!check(TokenKind::Semicolon)) {
     Value = parseExpr();
     if (!Value)
       return nullptr;
   }
   expect(TokenKind::Semicolon, "';' after return");
-  return std::make_unique<ReturnStmt>(std::move(Value), Loc);
+  return make<ReturnStmt>(Value, Loc);
 }
 
-StmtPtr Parser::parsePrint() {
+Stmt *Parser::parsePrint() {
   SourceLocation Loc = advance().Loc; // 'print'
   if (!expect(TokenKind::LParen, "'(' after 'print'"))
     return nullptr;
-  ExprPtr Value = parseExpr();
+  Expr *Value = parseExpr();
   if (!Value)
     return nullptr;
   expect(TokenKind::RParen, "')' after print argument");
   expect(TokenKind::Semicolon, "';' after print");
-  return std::make_unique<PrintStmt>(std::move(Value), Loc);
+  return make<PrintStmt>(Value, Loc);
 }
 
-StmtPtr Parser::parseExprOrAssign() {
+Stmt *Parser::parseExprOrAssign() {
   SourceLocation Loc = current().Loc;
-  ExprPtr E = parseExpr();
+  Expr *E = parseExpr();
   if (!E)
     return nullptr;
   if (match(TokenKind::Assign)) {
-    ExprPtr Value = parseExpr();
+    Expr *Value = parseExpr();
     if (!Value)
       return nullptr;
     expect(TokenKind::Semicolon, "';' after assignment");
-    // The parsed LHS determines the assignment form.
-    if (auto *Var = dyn_cast<VarRefExpr>(E.get()))
-      return std::make_unique<AssignLocalStmt>(Var->name(), std::move(Value),
-                                               Loc);
-    if (isa<FieldAccessExpr>(E.get())) {
-      auto *FA = static_cast<FieldAccessExpr *>(E.release());
-      std::unique_ptr<FieldAccessExpr> Owned(FA);
-      // Re-own the object expression out of the field access node.
-      // FieldAccessExpr does not expose a release; rebuild via a helper.
-      return std::make_unique<AssignFieldStmt>(
-          std::unique_ptr<Expr>(Owned->takeObject()), Owned->field(),
-          std::move(Value), Loc);
-    }
-    if (isa<IndexExpr>(E.get())) {
-      auto *IE = static_cast<IndexExpr *>(E.release());
-      std::unique_ptr<IndexExpr> Owned(IE);
-      return std::make_unique<AssignIndexStmt>(
-          std::unique_ptr<Expr>(Owned->takeArray()),
-          std::unique_ptr<Expr>(Owned->takeIndex()), std::move(Value), Loc);
-    }
+    // The parsed LHS determines the assignment form; the statement takes
+    // over its children (the LHS node itself stays unused in the arena).
+    if (auto *Var = dyn_cast<VarRefExpr>(E))
+      return make<AssignLocalStmt>(Var->name(), Value, Loc);
+    if (auto *FA = dyn_cast<FieldAccessExpr>(E))
+      return make<AssignFieldStmt>(FA->object(), FA->field(), Value, Loc);
+    if (auto *IE = dyn_cast<IndexExpr>(E))
+      return make<AssignIndexStmt>(IE->array(), IE->index(), Value, Loc);
     error(Loc, "invalid assignment target");
     return nullptr;
   }
   expect(TokenKind::Semicolon, "';' after expression statement");
-  if (!isa<CallExpr>(E.get()) && !isa<MethodCallExpr>(E.get()))
+  if (!isa<CallExpr>(E) && !isa<MethodCallExpr>(E))
     error(Loc, "only call expressions may be used as statements");
-  return std::make_unique<ExprStmt>(std::move(E), Loc);
+  return make<ExprStmt>(E, Loc);
 }
 
 //===----------------------------------------------------------------------===//
 // Expressions
 //===----------------------------------------------------------------------===//
 
-ExprPtr Parser::parseExpr() { return parseOr(); }
+Expr *Parser::parseExpr() { return parseOr(); }
 
-ExprPtr Parser::parseOr() {
-  ExprPtr Lhs = parseAnd();
+Expr *Parser::parseOr() {
+  Expr *Lhs = parseAnd();
   while (Lhs && check(TokenKind::PipePipe)) {
     SourceLocation Loc = advance().Loc;
-    ExprPtr Rhs = parseAnd();
+    Expr *Rhs = parseAnd();
     if (!Rhs)
       return nullptr;
-    Lhs = std::make_unique<BinaryExpr>(BinaryExpr::Op::Or, std::move(Lhs),
-                                       std::move(Rhs), Loc);
+    Lhs = make<BinaryExpr>(BinaryExpr::Op::Or, Lhs, Rhs, Loc);
   }
   return Lhs;
 }
 
-ExprPtr Parser::parseAnd() {
-  ExprPtr Lhs = parseEquality();
+Expr *Parser::parseAnd() {
+  Expr *Lhs = parseEquality();
   while (Lhs && check(TokenKind::AmpAmp)) {
     SourceLocation Loc = advance().Loc;
-    ExprPtr Rhs = parseEquality();
+    Expr *Rhs = parseEquality();
     if (!Rhs)
       return nullptr;
-    Lhs = std::make_unique<BinaryExpr>(BinaryExpr::Op::And, std::move(Lhs),
-                                       std::move(Rhs), Loc);
+    Lhs = make<BinaryExpr>(BinaryExpr::Op::And, Lhs, Rhs, Loc);
   }
   return Lhs;
 }
 
-ExprPtr Parser::parseEquality() {
-  ExprPtr Lhs = parseRelational();
+Expr *Parser::parseEquality() {
+  Expr *Lhs = parseRelational();
   while (Lhs && (check(TokenKind::EqEq) || check(TokenKind::BangEq))) {
     BinaryExpr::Op Op = check(TokenKind::EqEq) ? BinaryExpr::Op::Eq
                                                : BinaryExpr::Op::Ne;
     SourceLocation Loc = advance().Loc;
-    ExprPtr Rhs = parseRelational();
+    Expr *Rhs = parseRelational();
     if (!Rhs)
       return nullptr;
-    Lhs = std::make_unique<BinaryExpr>(Op, std::move(Lhs), std::move(Rhs),
-                                       Loc);
+    Lhs = make<BinaryExpr>(Op, Lhs, Rhs, Loc);
   }
   return Lhs;
 }
 
-ExprPtr Parser::parseRelational() {
-  ExprPtr Lhs = parseAdditive();
+Expr *Parser::parseRelational() {
+  Expr *Lhs = parseAdditive();
   while (Lhs) {
     if (check(TokenKind::KwIs) || check(TokenKind::KwAs)) {
       bool IsTest = check(TokenKind::KwIs);
@@ -435,13 +420,11 @@ ExprPtr Parser::parseRelational() {
         error(current().Loc, "expected class name after 'is'/'as'");
         return nullptr;
       }
-      std::string ClassName = std::string(advance().Text);
+      std::string_view ClassName = intern(advance().Text);
       if (IsTest)
-        Lhs = std::make_unique<IsExpr>(std::move(Lhs), std::move(ClassName),
-                                       Loc);
+        Lhs = make<IsExpr>(Lhs, ClassName, Loc);
       else
-        Lhs = std::make_unique<AsExpr>(std::move(Lhs), std::move(ClassName),
-                                       Loc);
+        Lhs = make<AsExpr>(Lhs, ClassName, Loc);
       continue;
     }
     BinaryExpr::Op Op;
@@ -456,69 +439,64 @@ ExprPtr Parser::parseRelational() {
     else
       break;
     SourceLocation Loc = advance().Loc;
-    ExprPtr Rhs = parseAdditive();
+    Expr *Rhs = parseAdditive();
     if (!Rhs)
       return nullptr;
-    Lhs = std::make_unique<BinaryExpr>(Op, std::move(Lhs), std::move(Rhs),
-                                       Loc);
+    Lhs = make<BinaryExpr>(Op, Lhs, Rhs, Loc);
   }
   return Lhs;
 }
 
-ExprPtr Parser::parseAdditive() {
-  ExprPtr Lhs = parseMultiplicative();
+Expr *Parser::parseAdditive() {
+  Expr *Lhs = parseMultiplicative();
   while (Lhs && (check(TokenKind::Plus) || check(TokenKind::Minus))) {
     BinaryExpr::Op Op = check(TokenKind::Plus) ? BinaryExpr::Op::Add
                                                : BinaryExpr::Op::Sub;
     SourceLocation Loc = advance().Loc;
-    ExprPtr Rhs = parseMultiplicative();
+    Expr *Rhs = parseMultiplicative();
     if (!Rhs)
       return nullptr;
-    Lhs = std::make_unique<BinaryExpr>(Op, std::move(Lhs), std::move(Rhs),
-                                       Loc);
+    Lhs = make<BinaryExpr>(Op, Lhs, Rhs, Loc);
   }
   return Lhs;
 }
 
-ExprPtr Parser::parseMultiplicative() {
-  ExprPtr Lhs = parseUnary();
+Expr *Parser::parseMultiplicative() {
+  Expr *Lhs = parseUnary();
   while (Lhs && (check(TokenKind::Star) || check(TokenKind::Slash) ||
                  check(TokenKind::Percent))) {
     BinaryExpr::Op Op = check(TokenKind::Star)    ? BinaryExpr::Op::Mul
                         : check(TokenKind::Slash) ? BinaryExpr::Op::Div
                                                   : BinaryExpr::Op::Mod;
     SourceLocation Loc = advance().Loc;
-    ExprPtr Rhs = parseUnary();
+    Expr *Rhs = parseUnary();
     if (!Rhs)
       return nullptr;
-    Lhs = std::make_unique<BinaryExpr>(Op, std::move(Lhs), std::move(Rhs),
-                                       Loc);
+    Lhs = make<BinaryExpr>(Op, Lhs, Rhs, Loc);
   }
   return Lhs;
 }
 
-ExprPtr Parser::parseUnary() {
+Expr *Parser::parseUnary() {
   if (check(TokenKind::Minus)) {
     SourceLocation Loc = advance().Loc;
-    ExprPtr Sub = parseUnary();
+    Expr *Sub = parseUnary();
     if (!Sub)
       return nullptr;
-    return std::make_unique<UnaryExpr>(UnaryExpr::Op::Neg, std::move(Sub),
-                                       Loc);
+    return make<UnaryExpr>(UnaryExpr::Op::Neg, Sub, Loc);
   }
   if (check(TokenKind::Bang)) {
     SourceLocation Loc = advance().Loc;
-    ExprPtr Sub = parseUnary();
+    Expr *Sub = parseUnary();
     if (!Sub)
       return nullptr;
-    return std::make_unique<UnaryExpr>(UnaryExpr::Op::Not, std::move(Sub),
-                                       Loc);
+    return make<UnaryExpr>(UnaryExpr::Op::Not, Sub, Loc);
   }
   return parsePostfix();
 }
 
-ExprPtr Parser::parsePostfix() {
-  ExprPtr E = parsePrimary();
+Expr *Parser::parsePostfix() {
+  Expr *E = parsePrimary();
   while (E) {
     if (check(TokenKind::Dot)) {
       SourceLocation Loc = advance().Loc;
@@ -526,27 +504,25 @@ ExprPtr Parser::parsePostfix() {
         error(current().Loc, "expected member name after '.'");
         return nullptr;
       }
-      std::string Member = std::string(advance().Text);
+      std::string_view Member = intern(advance().Text);
       if (check(TokenKind::LParen)) {
         advance();
-        std::vector<ExprPtr> Args;
+        ExprList Args;
         if (!parseArgs(Args))
           return nullptr;
-        E = std::make_unique<MethodCallExpr>(std::move(E), std::move(Member),
-                                             std::move(Args), Loc);
+        E = make<MethodCallExpr>(E, Member, Args, Loc);
       } else {
-        E = std::make_unique<FieldAccessExpr>(std::move(E), std::move(Member),
-                                              Loc);
+        E = make<FieldAccessExpr>(E, Member, Loc);
       }
       continue;
     }
     if (check(TokenKind::LBracket)) {
       SourceLocation Loc = advance().Loc;
-      ExprPtr Index = parseExpr();
+      Expr *Index = parseExpr();
       if (!Index)
         return nullptr;
       expect(TokenKind::RBracket, "']' after index");
-      E = std::make_unique<IndexExpr>(std::move(E), std::move(Index), Loc);
+      E = make<IndexExpr>(E, Index, Loc);
       continue;
     }
     break;
@@ -554,28 +530,28 @@ ExprPtr Parser::parsePostfix() {
   return E;
 }
 
-ExprPtr Parser::parsePrimary() {
+Expr *Parser::parsePrimary() {
   SourceLocation Loc = current().Loc;
   switch (current().Kind) {
   case TokenKind::IntLiteral: {
     Token T = advance();
-    return std::make_unique<IntLitExpr>(T.IntValue, Loc);
+    return make<IntLitExpr>(T.IntValue, Loc);
   }
   case TokenKind::KwTrue:
     advance();
-    return std::make_unique<BoolLitExpr>(true, Loc);
+    return make<BoolLitExpr>(true, Loc);
   case TokenKind::KwFalse:
     advance();
-    return std::make_unique<BoolLitExpr>(false, Loc);
+    return make<BoolLitExpr>(false, Loc);
   case TokenKind::KwNull:
     advance();
-    return std::make_unique<NullLitExpr>(Loc);
+    return make<NullLitExpr>(Loc);
   case TokenKind::KwThis:
     advance();
-    return std::make_unique<ThisExpr>(Loc);
+    return make<ThisExpr>(Loc);
   case TokenKind::LParen: {
     advance();
-    ExprPtr E = parseExpr();
+    Expr *E = parseExpr();
     if (!E)
       return nullptr;
     expect(TokenKind::RParen, "')'");
@@ -586,48 +562,45 @@ ExprPtr Parser::parsePrimary() {
     if (match(TokenKind::KwInt)) {
       if (!expect(TokenKind::LBracket, "'[' in array allocation"))
         return nullptr;
-      ExprPtr Len = parseExpr();
+      Expr *Len = parseExpr();
       if (!Len)
         return nullptr;
       expect(TokenKind::RBracket, "']' after array length");
       TypeRef Elem;
       Elem.K = TypeRef::Kind::Int;
       Elem.Loc = Loc;
-      return std::make_unique<NewArrayExpr>(std::move(Elem), std::move(Len),
-                                            Loc);
+      return make<NewArrayExpr>(Elem, Len, Loc);
     }
     if (!check(TokenKind::Identifier)) {
       error(current().Loc, "expected class name after 'new'");
       return nullptr;
     }
-    std::string ClassName = std::string(advance().Text);
+    std::string_view ClassName = intern(advance().Text);
     if (match(TokenKind::LBracket)) {
-      ExprPtr Len = parseExpr();
+      Expr *Len = parseExpr();
       if (!Len)
         return nullptr;
       expect(TokenKind::RBracket, "']' after array length");
       TypeRef Elem;
       Elem.K = TypeRef::Kind::Named;
-      Elem.Name = std::move(ClassName);
+      Elem.Name = ClassName;
       Elem.Loc = Loc;
-      return std::make_unique<NewArrayExpr>(std::move(Elem), std::move(Len),
-                                            Loc);
+      return make<NewArrayExpr>(Elem, Len, Loc);
     }
     if (!expect(TokenKind::LParen, "'(' in object allocation"))
       return nullptr;
     expect(TokenKind::RParen, "')' (constructors take no arguments)");
-    return std::make_unique<NewObjectExpr>(std::move(ClassName), Loc);
+    return make<NewObjectExpr>(ClassName, Loc);
   }
   case TokenKind::Identifier: {
-    std::string Name = std::string(advance().Text);
+    std::string_view Name = intern(advance().Text);
     if (match(TokenKind::LParen)) {
-      std::vector<ExprPtr> Args;
+      ExprList Args;
       if (!parseArgs(Args))
         return nullptr;
-      return std::make_unique<CallExpr>(std::move(Name), std::move(Args),
-                                        Loc);
+      return make<CallExpr>(Name, Args, Loc);
     }
-    return std::make_unique<VarRefExpr>(std::move(Name), Loc);
+    return make<VarRefExpr>(Name, Loc);
   }
   default:
     error(Loc, formatString(
@@ -637,16 +610,19 @@ ExprPtr Parser::parsePrimary() {
   }
 }
 
-bool Parser::parseArgs(std::vector<ExprPtr> &Args) {
+bool Parser::parseArgs(ExprList &Args) {
   if (match(TokenKind::RParen))
     return true;
+  SmallVector<Expr *, 8> Parsed;
   while (true) {
-    ExprPtr Arg = parseExpr();
+    Expr *Arg = parseExpr();
     if (!Arg)
       return false;
-    Args.push_back(std::move(Arg));
-    if (match(TokenKind::RParen))
+    Parsed.push_back(Arg);
+    if (match(TokenKind::RParen)) {
+      Args = Arena->copyList<Expr>(Parsed);
       return true;
+    }
     if (!expect(TokenKind::Comma, "',' between arguments"))
       return false;
   }

@@ -19,6 +19,8 @@
 #include "frontend/Token.h"
 
 #include <memory>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 namespace incline::frontend {
@@ -29,6 +31,7 @@ public:
   explicit Parser(std::vector<Token> Tokens) : Tokens(std::move(Tokens)) {}
 
   /// Parses the whole unit. Check `diagnostics()` before using the result.
+  /// Call once: the Program owns every node the parser makes.
   std::unique_ptr<Program> parseProgram();
 
   const std::vector<Diagnostic> &diagnostics() const { return Diags; }
@@ -53,30 +56,39 @@ private:
   TypeRef parseType();
 
   // Statements.
-  std::unique_ptr<BlockStmt> parseBlock();
-  StmtPtr parseStatement();
-  StmtPtr parseVarDecl();
-  StmtPtr parseIf();
-  StmtPtr parseWhile();
-  StmtPtr parseReturn();
-  StmtPtr parsePrint();
-  StmtPtr parseExprOrAssign();
+  BlockStmt *parseBlock();
+  Stmt *parseStatement();
+  Stmt *parseVarDecl();
+  Stmt *parseIf();
+  Stmt *parseWhile();
+  Stmt *parseReturn();
+  Stmt *parsePrint();
+  Stmt *parseExprOrAssign();
 
   // Expressions (precedence climbing).
-  ExprPtr parseExpr();
-  ExprPtr parseOr();
-  ExprPtr parseAnd();
-  ExprPtr parseEquality();
-  ExprPtr parseRelational();  // Also handles `is` / `as`.
-  ExprPtr parseAdditive();
-  ExprPtr parseMultiplicative();
-  ExprPtr parseUnary();
-  ExprPtr parsePostfix();
-  ExprPtr parsePrimary();
-  bool parseArgs(std::vector<ExprPtr> &Args);
+  Expr *parseExpr();
+  Expr *parseOr();
+  Expr *parseAnd();
+  Expr *parseEquality();
+  Expr *parseRelational();  // Also handles `is` / `as`.
+  Expr *parseAdditive();
+  Expr *parseMultiplicative();
+  Expr *parseUnary();
+  Expr *parsePostfix();
+  Expr *parsePrimary();
+  bool parseArgs(ExprList &Args);
+
+  /// Nodes go to the arena of the Program being parsed.
+  template <typename T, typename... Args> T *make(Args &&...A) {
+    return Arena->make<T>(std::forward<Args>(A)...);
+  }
+  std::string_view intern(std::string_view Text) {
+    return Arena->intern(Text);
+  }
 
   std::vector<Token> Tokens;
   size_t Pos = 0;
+  AstArena *Arena = nullptr;
   std::vector<Diagnostic> Diags;
 };
 

@@ -85,7 +85,7 @@ Type Sema::resolveTypeRef(const TypeRef &Ty) {
   case TypeRef::Kind::Named: {
     std::optional<int> Id = Classes.classIdOf(Ty.Name);
     if (!Id) {
-      error(Ty.Loc, "unknown type '" + Ty.Name + "'");
+      error(Ty.Loc, "unknown type '" + std::string(Ty.Name) + "'");
       return Type::intTy();
     }
     return Type::object(*Id);
@@ -93,7 +93,7 @@ Type Sema::resolveTypeRef(const TypeRef &Ty) {
   case TypeRef::Kind::NamedArray: {
     std::optional<int> Id = Classes.classIdOf(Ty.Name);
     if (!Id) {
-      error(Ty.Loc, "unknown type '" + Ty.Name + "'");
+      error(Ty.Loc, "unknown type '" + std::string(Ty.Name) + "'");
       return Type::intArray();
     }
     return Type::objectArray(*Id);
@@ -179,10 +179,10 @@ bool Sema::registerFreeFunctions() {
 // Scopes
 //===----------------------------------------------------------------------===//
 
-int Sema::declareLocal(const std::string &Name, Type Ty, SourceLocation Loc) {
+int Sema::declareLocal(std::string_view Name, Type Ty, SourceLocation Loc) {
   for (const Scope &S : Scopes) {
     if (S.Names.count(Name)) {
-      error(Loc, "redeclaration of '" + Name + "'");
+      error(Loc, "redeclaration of '" + std::string(Name) + "'");
       return -1;
     }
   }
@@ -192,13 +192,13 @@ int Sema::declareLocal(const std::string &Name, Type Ty, SourceLocation Loc) {
   return Id;
 }
 
-int Sema::lookupLocal(const std::string &Name, SourceLocation Loc) {
+int Sema::lookupLocal(std::string_view Name, SourceLocation Loc) {
   for (auto It = Scopes.rbegin(); It != Scopes.rend(); ++It) {
     auto Found = It->Names.find(Name);
     if (Found != It->Names.end())
       return Found->second;
   }
-  error(Loc, "use of undeclared variable '" + Name + "'");
+  error(Loc, "use of undeclared variable '" + std::string(Name) + "'");
   return -1;
 }
 
@@ -227,7 +227,7 @@ void Sema::checkFunction(FunctionDecl &F) {
   }
 
   if (F.Body)
-    checkStmt(F.Body.get());
+    checkStmt(F.Body);
 
   F.NumLocals = static_cast<int>(LocalTypes.size());
   F.LocalTypes = LocalTypes;
@@ -246,8 +246,8 @@ void Sema::checkStmt(Stmt *S) {
   case StmtKind::Block: {
     auto *Block = cast<BlockStmt>(S);
     pushScope();
-    for (const StmtPtr &Child : Block->statements())
-      checkStmt(Child.get());
+    for (Stmt *Child : Block->statements())
+      checkStmt(Child);
     popScope();
     return;
   }
@@ -259,7 +259,8 @@ void Sema::checkStmt(Stmt *S) {
       VarTy = resolveTypeRef(*Decl->declaredType());
       requireAssignable(InitTy, VarTy, S->loc(), "variable initialization");
     } else if (InitTy.isNull()) {
-      error(S->loc(), "cannot infer the type of '" + Decl->name() +
+      error(S->loc(), "cannot infer the type of '" +
+                          std::string(Decl->name()) +
                           "' from a null initializer");
       VarTy = Type::intTy();
     } else if (InitTy.isVoid()) {
@@ -296,7 +297,7 @@ void Sema::checkStmt(Stmt *S) {
       requireAssignable(ValueTy, F.Ty, S->loc(), "field assignment");
       return;
     }
-    error(S->loc(), "unknown field '" + Assign->field() + "'");
+    error(S->loc(), "unknown field '" + std::string(Assign->field()) + "'");
     return;
   }
   case StmtKind::AssignIndex: {
@@ -435,7 +436,7 @@ Type Sema::checkExpr(Expr *E) {
     auto *New = cast<NewObjectExpr>(E);
     std::optional<int> Id = Classes.classIdOf(New->className());
     if (!Id) {
-      error(E->loc(), "unknown class '" + New->className() + "'");
+      error(E->loc(), "unknown class '" + std::string(New->className()) + "'");
       Ty = Type::intTy();
       break;
     }
@@ -453,7 +454,8 @@ Type Sema::checkExpr(Expr *E) {
     } else {
       std::optional<int> Id = Classes.classIdOf(New->elemType().Name);
       if (!Id) {
-        error(E->loc(), "unknown class '" + New->elemType().Name + "'");
+        error(E->loc(),
+              "unknown class '" + std::string(New->elemType().Name) + "'");
         Ty = Type::intArray();
         break;
       }
@@ -468,7 +470,7 @@ Type Sema::checkExpr(Expr *E) {
       error(E->loc(), "'is' requires an object operand");
     std::optional<int> Id = Classes.classIdOf(Is->className());
     if (!Id)
-      error(E->loc(), "unknown class '" + Is->className() + "'");
+      error(E->loc(), "unknown class '" + std::string(Is->className()) + "'");
     else
       Is->setClassId(*Id);
     Ty = Type::boolTy();
@@ -481,7 +483,7 @@ Type Sema::checkExpr(Expr *E) {
       error(E->loc(), "'as' requires an object operand");
     std::optional<int> Id = Classes.classIdOf(As->className());
     if (!Id) {
-      error(E->loc(), "unknown class '" + As->className() + "'");
+      error(E->loc(), "unknown class '" + std::string(As->className()) + "'");
       Ty = Type::intTy();
       break;
     }
@@ -535,18 +537,20 @@ Type Sema::checkBinary(BinaryExpr *E) {
 Type Sema::checkCall(CallExpr *E) {
   auto It = FreeFuncs.find(E->callee());
   if (It == FreeFuncs.end()) {
-    error(E->loc(), "call to unknown function '" + E->callee() + "'");
-    for (const ExprPtr &Arg : E->args())
-      checkExpr(Arg.get());
+    error(E->loc(),
+          "call to unknown function '" + std::string(E->callee()) + "'");
+    for (Expr *Arg : E->args())
+      checkExpr(Arg);
     return Type::intTy();
   }
   const FreeFunctionSig &Sig = It->second;
   if (E->args().size() != Sig.ParamTypes.size())
     error(E->loc(), formatString("'%s' expects %zu arguments, got %zu",
-                                 E->callee().c_str(), Sig.ParamTypes.size(),
+                                 std::string(E->callee()).c_str(),
+                                 Sig.ParamTypes.size(),
                                  E->args().size()));
   for (size_t I = 0; I < E->args().size(); ++I) {
-    Type ArgTy = checkExpr(E->args()[I].get());
+    Type ArgTy = checkExpr(E->args()[I]);
     if (I < Sig.ParamTypes.size())
       requireAssignable(ArgTy, Sig.ParamTypes[I], E->loc(), "argument");
   }
@@ -557,25 +561,27 @@ Type Sema::checkMethodCall(MethodCallExpr *E) {
   Type RecvTy = checkExpr(E->receiver());
   if (!RecvTy.isObject() || RecvTy.isNull()) {
     error(E->loc(), "method call requires an object receiver");
-    for (const ExprPtr &Arg : E->args())
-      checkExpr(Arg.get());
+    for (Expr *Arg : E->args())
+      checkExpr(Arg);
     return Type::intTy();
   }
   const types::MethodInfo *M =
       Classes.resolveMethod(RecvTy.classId(), E->method());
   if (!M) {
-    error(E->loc(), "class has no method '" + E->method() + "'");
-    for (const ExprPtr &Arg : E->args())
-      checkExpr(Arg.get());
+    error(E->loc(),
+          "class has no method '" + std::string(E->method()) + "'");
+    for (Expr *Arg : E->args())
+      checkExpr(Arg);
     return Type::intTy();
   }
   E->setResolved(M);
   if (E->args().size() != M->ParamTypes.size())
     error(E->loc(), formatString("'%s' expects %zu arguments, got %zu",
-                                 E->method().c_str(), M->ParamTypes.size(),
+                                 std::string(E->method()).c_str(),
+                                 M->ParamTypes.size(),
                                  E->args().size()));
   for (size_t I = 0; I < E->args().size(); ++I) {
-    Type ArgTy = checkExpr(E->args()[I].get());
+    Type ArgTy = checkExpr(E->args()[I]);
     if (I < M->ParamTypes.size())
       requireAssignable(ArgTy, M->ParamTypes[I], E->loc(), "argument");
   }
@@ -598,6 +604,6 @@ Type Sema::checkFieldAccess(FieldAccessExpr *E) {
     E->setFieldSlot(F.Index);
     return F.Ty;
   }
-  error(E->loc(), "unknown field '" + E->field() + "'");
+  error(E->loc(), "unknown field '" + std::string(E->field()) + "'");
   return Type::intTy();
 }

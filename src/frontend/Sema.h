@@ -18,8 +18,10 @@
 #include "frontend/Ast.h"
 #include "types/ClassHierarchy.h"
 
+#include <functional>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace incline::frontend {
@@ -43,7 +45,8 @@ public:
 
   const std::vector<Diagnostic> &diagnostics() const { return Diags; }
 
-  const std::map<std::string, FreeFunctionSig> &freeFunctions() const {
+  using FreeFunctionMap = std::map<std::string, FreeFunctionSig, std::less<>>;
+  const FreeFunctionMap &freeFunctions() const {
     return FreeFuncs;
   }
 
@@ -68,20 +71,22 @@ private:
                          SourceLocation Loc, const char *Context);
 
   // Scope handling for the current function.
+  // Names are views of the AST's interned identifiers and parameter
+  // names, which outlive the checking of their function.
   struct Scope {
-    std::map<std::string, int> Names;
+    std::map<std::string_view, int> Names;
   };
   void pushScope() { Scopes.emplace_back(); }
   void popScope() { Scopes.pop_back(); }
-  int declareLocal(const std::string &Name, types::Type Ty,
+  int declareLocal(std::string_view Name, types::Type Ty,
                    SourceLocation Loc);
   /// Returns the local id or -1 (with a diagnostic) when undeclared.
-  int lookupLocal(const std::string &Name, SourceLocation Loc);
+  int lookupLocal(std::string_view Name, SourceLocation Loc);
 
   Program &Prog;
   types::ClassHierarchy &Classes;
   std::vector<Diagnostic> Diags;
-  std::map<std::string, FreeFunctionSig> FreeFuncs;
+  FreeFunctionMap FreeFuncs;
 
   // Current function state.
   FunctionDecl *CurFunc = nullptr;

@@ -6,11 +6,16 @@
 
 #include "frontend/Compiler.h"
 
+#include "frontend/Lexer.h"
+#include "frontend/Parser.h"
 #include "ir/IRPrinter.h"
 #include "ir/IRVerifier.h"
 #include "support/Casting.h"
 
 #include <gtest/gtest.h>
+
+#include <cstdint>
+#include <string>
 
 using namespace incline;
 using namespace incline::frontend;
@@ -232,6 +237,103 @@ TEST(CompilerDiagnosticsTest, BlockScopingHidesInnerDecls) {
     }
   )",
               "undeclared variable");
+}
+
+//===----------------------------------------------------------------------===//
+// AST arena
+//===----------------------------------------------------------------------===//
+
+std::unique_ptr<Program> parse(std::string_view Source) {
+  Parser P(Lexer(Source).lexAll());
+  std::unique_ptr<Program> Prog = P.parseProgram();
+  EXPECT_TRUE(P.diagnostics().empty());
+  return Prog;
+}
+
+TEST(AstArenaTest, IdentifiersAreInternedOncePerName) {
+  std::string Source = "def f(x: int): int { var y = x; y = y + x; "
+                       "return y; }";
+  std::unique_ptr<Program> Prog = parse(Source);
+  ASSERT_EQ(Prog->Functions.size(), 1u);
+  StmtList Body = Prog->Functions[0]->Body->statements();
+  ASSERT_EQ(Body.size(), 3u);
+  const auto *Decl = cast<VarDeclStmt>(Body[0]);
+  const auto *Assign = cast<AssignLocalStmt>(Body[1]);
+  const auto *Sum = cast<BinaryExpr>(Assign->value());
+  // Both `x` uses and all three `y` names are one copy each, and none of
+  // them views the source text.
+  EXPECT_EQ(cast<VarRefExpr>(Decl->init())->name().data(),
+            cast<VarRefExpr>(Sum->rhs())->name().data());
+  EXPECT_EQ(Decl->name().data(), Assign->name().data());
+  EXPECT_EQ(Decl->name().data(), cast<VarRefExpr>(Sum->lhs())->name().data());
+  EXPECT_EQ(Prog->Arena.intern("y").data(), Decl->name().data());
+  auto InSource = [&](std::string_view V) {
+    return V.data() >= Source.data() &&
+           V.data() < Source.data() + Source.size();
+  };
+  EXPECT_FALSE(InSource(Decl->name()));
+  EXPECT_EQ(Prog->Arena.numInterned(), 2u); // x and y.
+}
+
+TEST(AstArenaTest, NodesOutliveTheTokensAndSource) {
+  std::unique_ptr<Program> Prog;
+  {
+    std::string Source =
+        "class Box { var v: int; def get(): int { return this.v; } }\n"
+        "def main() { var b = new Box(); b.v = 4; print(b.get()); }";
+    Prog = parse(Source);
+    Source.assign(Source.size(), '#'); // Scribble over the text.
+  }
+  ASSERT_EQ(Prog->Functions.size(), 1u);
+  StmtList Main = Prog->Functions[0]->Body->statements();
+  ASSERT_EQ(Main.size(), 3u);
+  const auto *Store = cast<AssignFieldStmt>(Main[1]);
+  EXPECT_EQ(Store->field(), "v");
+  const auto *Print = cast<PrintStmt>(Main[2]);
+  const auto *Call = cast<MethodCallExpr>(Print->value());
+  EXPECT_EQ(Call->method(), "get");
+  EXPECT_TRUE(Call->args().empty());
+  EXPECT_EQ(cast<VarDeclStmt>(Main[0])->name(), "b");
+  EXPECT_EQ(cast<NewObjectExpr>(cast<VarDeclStmt>(Main[0])->init())
+                ->className(),
+            "Box");
+}
+
+TEST(AstArenaTest, AllocationsAreAlignedAndChunked) {
+  AstArena A;
+  EXPECT_EQ(A.numChunks(), 0u);
+  auto *Lit = A.make<IntLitExpr>(7, SourceLocation{});
+  EXPECT_EQ(reinterpret_cast<uintptr_t>(Lit) % alignof(IntLitExpr), 0u);
+  EXPECT_EQ(Lit->value(), 7);
+  EXPECT_EQ(A.numChunks(), 1u);
+  // Many small nodes take a few growing chunks, not one block each.
+  for (int I = 0; I < 20000; ++I) {
+    auto *N = A.make<IntLitExpr>(I, SourceLocation{});
+    ASSERT_EQ(reinterpret_cast<uintptr_t>(N) % alignof(IntLitExpr), 0u);
+  }
+  EXPECT_LT(A.numChunks(), 20u);
+  // A list bigger than a chunk gets a chunk of its own.
+  std::vector<Expr *> Many(20000, Lit);
+  size_t Before = A.numChunks();
+  ExprList Copy = A.copyList<Expr>(Many);
+  EXPECT_EQ(A.numChunks(), Before + 1);
+  ASSERT_EQ(Copy.size(), Many.size());
+  EXPECT_EQ(Copy.back(), Lit);
+  EXPECT_TRUE(A.copyList<Expr>(ExprList{}).empty());
+}
+
+TEST(AstArenaTest, InternTableGrowsWithoutLosingNames) {
+  AstArena A;
+  std::vector<std::string_view> First;
+  for (int I = 0; I < 3000; ++I)
+    First.push_back(A.intern("name" + std::to_string(I)));
+  EXPECT_EQ(A.numInterned(), 3000u);
+  for (int I = 0; I < 3000; ++I) {
+    std::string_view Again = A.intern("name" + std::to_string(I));
+    EXPECT_EQ(Again.data(), First[static_cast<size_t>(I)].data());
+    EXPECT_EQ(Again, "name" + std::to_string(I));
+  }
+  EXPECT_EQ(A.numInterned(), 3000u);
 }
 
 } // namespace
