@@ -211,6 +211,42 @@ private:
 
 } // namespace
 
+std::optional<Divergence>
+incline::fuzz::checkJitStage(jit::JitRuntime &Runtime,
+                             const std::string &Stage,
+                             const std::string &Expected,
+                             const interp::ExecLimits &Budget,
+                             const OracleOptions &Options) {
+  for (int Iter = 0; Iter < Options.JitIterations; ++Iter) {
+    interp::ExecResult R =
+        runJitMain(Runtime, Budget, Options.StageWallClockSeconds);
+    if (R.ok() && R.Output == Expected)
+      continue;
+    Divergence D;
+    D.Kind = failureKind(R);
+    D.Stage = Stage;
+    D.Detail = R.ok() ? "iteration " + std::to_string(Iter) +
+                            " output differs from the reference"
+                      : R.TrapMessage;
+    D.Expected = Expected;
+    D.Actual = R.Output;
+    return D;
+  }
+  // Publish what is still in flight: stale and post-invalidation
+  // publication are stage paths too, and their code is verified as well.
+  Runtime.drainCompilations();
+  if (uint64_t Rejected = Runtime.stats().VerifyFailures) {
+    Divergence D;
+    D.Kind = DivergenceKind::VerifierError;
+    D.Stage = Stage;
+    D.Detail = std::to_string(Rejected) +
+               " compiled bodies failed install-time verification; the "
+               "runtime kept interpreting, so the output alone hides it";
+    return D;
+  }
+  return std::nullopt;
+}
+
 const std::vector<PipelineConfig> &incline::fuzz::allPipelineConfigs() {
   static const std::vector<PipelineConfig> Configs = {
       {"canonicalize",
@@ -506,25 +542,16 @@ DifferentialOracle::check(const std::string &Source) const {
       jit::JitConfig Config;
       Config.CompileThreshold = Opts.CompileThreshold;
       jit::JitRuntime Runtime(*M, *Compiler, Config);
-      for (int Iter = 0; Iter < Opts.JitIterations; ++Iter) {
-        interp::ExecResult R =
-            runJitMain(Runtime, Budget, Opts.StageWallClockSeconds);
-        if (PerPassProblem)
-          return PerPassProblem;
-        if (R.ok() && R.Output == Expected)
-          continue;
-        Divergence D;
-        D.Kind = failureKind(R);
-        D.Stage = "jit:" + Policy.Name;
-        D.Detail = R.ok() ? "iteration " + std::to_string(Iter) +
-                                " output differs from the reference"
-                          : R.TrapMessage;
-        D.Expected = Expected;
-        D.Actual = R.Output;
+      std::optional<Divergence> D = checkJitStage(
+          Runtime, "jit:" + Policy.Name, Expected, Budget, Opts);
+      // A pass that broke the IR explains whatever went wrong after it.
+      if (PerPassProblem)
+        return PerPassProblem;
+      if (D) {
         if (Opts.Bisect)
           if (std::optional<std::string> Guilty =
                   bisectJitPolicy(Source, Policy, Opts))
-            D.Function = *Guilty;
+            D->Function = *Guilty;
         return D;
       }
     }
@@ -557,22 +584,9 @@ DifferentialOracle::check(const std::string &Source) const {
       Config.Osr = true;
       Config.OsrBackedgeThreshold = 4;
       jit::JitRuntime Runtime(*M, Compiler, Config);
-      for (int Iter = 0; Iter < Opts.JitIterations; ++Iter) {
-        interp::ExecResult R =
-            runJitMain(Runtime, Budget, Opts.StageWallClockSeconds);
-        if (R.ok() && R.Output == Expected)
-          continue;
-        Divergence D;
-        D.Kind = failureKind(R);
-        D.Stage = "jit:" + Stage.Name;
-        D.Detail = R.ok() ? "iteration " + std::to_string(Iter) +
-                                " output differs from the reference"
-                          : R.TrapMessage;
-        D.Expected = Expected;
-        D.Actual = R.Output;
+      if (std::optional<Divergence> D = checkJitStage(
+              Runtime, "jit:" + Stage.Name, Expected, Budget, Opts))
         return D;
-      }
-      Runtime.drainCompilations();
     }
   }
 
@@ -652,24 +666,9 @@ DifferentialOracle::check(const std::string &Source) const {
       Config.CodeCacheBudget = Opts.Chaos.CodeCacheBudget;
       Config.ProfileDecayHalflife = Opts.Chaos.ProfileDecayHalflife;
       jit::JitRuntime Runtime(*M, Compiler, Config);
-      for (int Iter = 0; Iter < Opts.JitIterations; ++Iter) {
-        interp::ExecResult R =
-            runJitMain(Runtime, Budget, Opts.StageWallClockSeconds);
-        if (R.ok() && R.Output == Expected)
-          continue;
-        Divergence D;
-        D.Kind = failureKind(R);
-        D.Stage = "jit:" + Stage.Name;
-        D.Detail = R.ok() ? "iteration " + std::to_string(Iter) +
-                                " output differs from the reference"
-                          : R.TrapMessage;
-        D.Expected = Expected;
-        D.Actual = R.Output;
+      if (std::optional<Divergence> D = checkJitStage(
+              Runtime, "jit:" + Stage.Name, Expected, Budget, Opts))
         return D;
-      }
-      // Publish whatever is still in flight before teardown: the stale /
-      // post-invalidation publication paths are part of what chaos covers.
-      Runtime.drainCompilations();
     }
 
     // Dedicated code-lifecycle thrash stage: a cache budget so tiny that
@@ -703,22 +702,9 @@ DifferentialOracle::check(const std::string &Source) const {
             return chaosChance(Draw, C.EvictForceRate);
           };
       jit::JitRuntime Runtime(*M, Compiler, Config);
-      for (int Iter = 0; Iter < Opts.JitIterations; ++Iter) {
-        interp::ExecResult R =
-            runJitMain(Runtime, Budget, Opts.StageWallClockSeconds);
-        if (R.ok() && R.Output == Expected)
-          continue;
-        Divergence D;
-        D.Kind = failureKind(R);
-        D.Stage = "jit:evict-async";
-        D.Detail = R.ok() ? "iteration " + std::to_string(Iter) +
-                                " output differs from the reference"
-                          : R.TrapMessage;
-        D.Expected = Expected;
-        D.Actual = R.Output;
+      if (std::optional<Divergence> D = checkJitStage(
+              Runtime, "jit:evict-async", Expected, Budget, Opts))
         return D;
-      }
-      Runtime.drainCompilations();
     }
 
     // Dedicated prune-chaos stages: minimal-slice compilation with forced
@@ -768,22 +754,9 @@ DifferentialOracle::check(const std::string &Source) const {
               return chaosChance(Draw, C.PruneForceRate);
             };
         jit::JitRuntime Runtime(*M, Compiler, Config);
-        for (int Iter = 0; Iter < Opts.JitIterations; ++Iter) {
-          interp::ExecResult R =
-              runJitMain(Runtime, Budget, Opts.StageWallClockSeconds);
-          if (R.ok() && R.Output == Expected)
-            continue;
-          Divergence D;
-          D.Kind = failureKind(R);
-          D.Stage = "jit:" + Stage.Name;
-          D.Detail = R.ok() ? "iteration " + std::to_string(Iter) +
-                                  " output differs from the reference"
-                            : R.TrapMessage;
-          D.Expected = Expected;
-          D.Actual = R.Output;
+        if (std::optional<Divergence> D = checkJitStage(
+                Runtime, "jit:" + Stage.Name, Expected, Budget, Opts))
           return D;
-        }
-        Runtime.drainCompilations();
       }
     }
 
@@ -827,22 +800,9 @@ DifferentialOracle::check(const std::string &Source) const {
               return chaosChance(Draw, C.DeadlineForceRate);
             };
         jit::JitRuntime Runtime(*M, Compiler, Config);
-        for (int Iter = 0; Iter < Opts.JitIterations; ++Iter) {
-          interp::ExecResult R =
-              runJitMain(Runtime, Budget, Opts.StageWallClockSeconds);
-          if (R.ok() && R.Output == Expected)
-            continue;
-          Divergence D;
-          D.Kind = failureKind(R);
-          D.Stage = "jit:" + Stage.Name;
-          D.Detail = R.ok() ? "iteration " + std::to_string(Iter) +
-                                  " output differs from the reference"
-                            : R.TrapMessage;
-          D.Expected = Expected;
-          D.Actual = R.Output;
+        if (std::optional<Divergence> D = checkJitStage(
+                Runtime, "jit:" + Stage.Name, Expected, Budget, Opts))
           return D;
-        }
-        Runtime.drainCompilations();
       }
     }
   }
@@ -942,6 +902,8 @@ incline::fuzz::bisectJitPolicy(const std::string &Source,
     Config.CompileThreshold = UINT64_MAX;
     jit::JitRuntime Runtime(*M, *Compiler, Config);
     Runtime.compileNow(Name);
+    if (Runtime.stats().VerifyFailures > 0)
+      return Name;
     for (int Iter = 0; Iter < Options.JitIterations; ++Iter) {
       interp::ExecResult R =
           runJitMain(Runtime, Budget, Options.StageWallClockSeconds);

@@ -42,8 +42,13 @@ class Function;
 class Module;
 } // namespace incline::ir
 
+namespace incline::interp {
+struct ExecLimits;
+} // namespace incline::interp
+
 namespace incline::jit {
 class Compiler;
+class JitRuntime;
 } // namespace incline::jit
 
 namespace incline::fuzz {
@@ -233,9 +238,24 @@ private:
 std::optional<PassBisection> bisectPipeline(const std::string &Source,
                                             const OracleOptions &Options);
 
+/// Runs one JIT stage: `main` under \p Runtime for Options.JitIterations
+/// iterations, each within \p Budget and the stage wall-clock budget, then
+/// publishes compiles still in flight. The first run that traps or prints
+/// other than \p Expected is a divergence at \p Stage. So is a run that
+/// matches while the runtime rejected compiled code at install time
+/// (JitRuntimeStats::VerifyFailures): the runtime then keeps interpreting,
+/// which would otherwise hide the broken compile behind correct output.
+std::optional<Divergence> checkJitStage(jit::JitRuntime &Runtime,
+                                        const std::string &Stage,
+                                        const std::string &Expected,
+                                        const interp::ExecLimits &Budget,
+                                        const OracleOptions &Options);
+
 /// Compiles one method at a time under \p Policy to isolate the guilty
-/// compilation for a JIT-stage divergence. Returns the guilty function
-/// name, or nullopt when no single compilation reproduces it.
+/// compilation for a JIT-stage divergence: the first method whose compile
+/// fails install-time verification or changes the output. Returns the
+/// guilty function name, or nullopt when no single compilation reproduces
+/// it.
 std::optional<std::string> bisectJitPolicy(const std::string &Source,
                                            const JitPolicyConfig &Policy,
                                            const OracleOptions &Options);

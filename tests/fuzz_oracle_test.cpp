@@ -12,8 +12,13 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "frontend/Compiler.h"
 #include "fuzz/Oracle.h"
 #include "fuzz/RandomProgram.h"
+#include "inliner/Compilers.h"
+#include "interp/Interpreter.h"
+#include "ir/IRCloner.h"
+#include "jit/JitRuntime.h"
 
 #include "TestHelpers.h"
 
@@ -159,6 +164,68 @@ TEST(FuzzOracleTest, FrontendErrorsAreReportedAsDivergences) {
   ASSERT_TRUE(D);
   EXPECT_EQ(D->Kind, DivergenceKind::FrontendError);
   EXPECT_EQ(D->Stage, "frontend");
+}
+
+/// Returns a clone with an extra empty block: code the runtime's
+/// install-time verifier rejects, so every method stays interpreted and the
+/// program still prints the right output.
+class InvalidCodeCompiler : public jit::Compiler {
+public:
+  std::unique_ptr<ir::Function>
+  compile(const ir::Function &Source, const ir::Module &,
+          const profile::ProfileTable &, jit::CompileStats &Stats,
+          const opt::PassContext &) override {
+    auto Clone = ir::cloneFunction(Source, std::string(Source.name()));
+    Clone.F->addBlock("unterminated");
+    Stats.CodeSize = Clone.F->instructionCount();
+    return std::move(Clone.F);
+  }
+  std::string name() const override { return "invalid-code"; }
+};
+
+TEST(FuzzOracleTest, InstallTimeVerifierRejectionIsReportedNotHidden) {
+  const std::string Source = R"(
+def sq(x: int): int { return x * x; }
+def main() {
+  var i = 0;
+  var s = 0;
+  while (i < 10) { s = s + sq(i); i = i + 1; }
+  print(s);
+}
+)";
+  OracleOptions Options;
+  interp::ExecLimits Budget;
+  Budget.MaxSteps = Options.MinStepBudget;
+  const std::string Expected = "285\n";
+
+  {
+    std::unique_ptr<ir::Module> M = frontend::compileOrDie(Source);
+    InvalidCodeCompiler Broken;
+    jit::JitConfig Config;
+    Config.CompileThreshold = 1;
+    jit::JitRuntime Runtime(*M, Broken, Config);
+    std::optional<Divergence> D =
+        checkJitStage(Runtime, "jit:invalid-code", Expected, Budget, Options);
+    ASSERT_TRUE(D) << "a stage whose every compile was rejected passed";
+    EXPECT_EQ(D->Kind, DivergenceKind::VerifierError);
+    EXPECT_EQ(D->Stage, "jit:invalid-code");
+    EXPECT_NE(D->Detail.find("install-time verification"), std::string::npos)
+        << D->Detail;
+    EXPECT_GT(Runtime.stats().VerifyFailures, 0u);
+    EXPECT_EQ(Runtime.stats().VerifyFailures, Runtime.stats().Bailouts);
+  }
+  {
+    // The same stage with a working compiler installs code and agrees.
+    std::unique_ptr<ir::Module> M = frontend::compileOrDie(Source);
+    inliner::IncrementalCompiler Working;
+    jit::JitConfig Config;
+    Config.CompileThreshold = 1;
+    jit::JitRuntime Runtime(*M, Working, Config);
+    std::optional<Divergence> D =
+        checkJitStage(Runtime, "jit:incremental", Expected, Budget, Options);
+    EXPECT_FALSE(D) << D->render();
+    EXPECT_GT(Runtime.compilations().size(), 0u);
+  }
 }
 
 } // namespace
