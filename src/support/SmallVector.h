@@ -54,8 +54,9 @@ public:
   using const_reference = const T &;
 
   SmallVector() = default;
-  SmallVector(std::initializer_list<T> Init) { append(Init.begin(), Init.end()); }
-  template <typename It> SmallVector(It First, It Last) { append(First, Last); }
+  SmallVector(std::initializer_list<T> Init) {
+    append(Init.begin(), Init.end());
+  }
   SmallVector(const SmallVector &Other) {
     append(Other.begin(), Other.end());
   }
@@ -116,14 +117,6 @@ public:
     if (MinCapacity > Capacity)
       grow(MinCapacity);
   }
-  /// Grows with value-initialized elements, or drops the tail.
-  void resize(size_t NewSize) {
-    reserve(NewSize);
-    for (size_t I = Size; I < NewSize; ++I)
-      Data[I] = T();
-    Size = static_cast<uint32_t>(NewSize);
-  }
-
   template <typename It> void append(It First, It Last) {
     reserve(Size + static_cast<size_t>(std::distance(First, Last)));
     for (; First != Last; ++First)
@@ -138,13 +131,6 @@ public:
                  sizeof(T) * static_cast<size_t>(end() - At - 1));
     --Size;
     return At;
-  }
-
-  friend bool operator==(const SmallVector &A, const SmallVector &B) {
-    return A.Size == B.Size && std::equal(A.begin(), A.end(), B.begin());
-  }
-  friend bool operator!=(const SmallVector &A, const SmallVector &B) {
-    return !(A == B);
   }
 
 private:

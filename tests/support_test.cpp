@@ -206,7 +206,7 @@ TEST(SmallVectorTest, CopyAndMoveKeepContents) {
   SmallVector<int, 2> Heap{1, 2, 3, 4};
 
   SmallVector<int, 2> CopyOfHeap(Heap);
-  EXPECT_EQ(CopyOfHeap, Heap);
+  EXPECT_EQ(asVector(CopyOfHeap), asVector(Heap));
   SmallVector<int, 2> MovedInline(std::move(Inline));
   EXPECT_EQ(asVector(MovedInline), (std::vector<int>{1, 2}));
   EXPECT_TRUE(MovedInline.isInline());
@@ -219,7 +219,7 @@ TEST(SmallVectorTest, CopyAndMoveKeepContents) {
   EXPECT_TRUE(Heap.isInline());
 
   MovedInline = MovedHeap; // Copy-assign onto a smaller vector.
-  EXPECT_EQ(MovedInline, MovedHeap);
+  EXPECT_EQ(asVector(MovedInline), asVector(MovedHeap));
   MovedHeap = SmallVector<int, 2>{9};
   EXPECT_EQ(asVector(MovedHeap), std::vector<int>{9});
   EXPECT_TRUE(MovedHeap.isInline());
