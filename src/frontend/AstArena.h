@@ -48,7 +48,8 @@ public:
   }
 
   /// Copies \p Items into the arena (an empty list takes no memory).
-  template <typename T> std::span<T *const> copyList(std::span<T *const> Items) {
+  template <typename T>
+  std::span<T *const> copyList(std::span<T *const> Items) {
     if (Items.empty())
       return {};
     auto *Copy = static_cast<T **>(

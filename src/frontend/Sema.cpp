@@ -13,6 +13,16 @@ using namespace incline;
 using namespace incline::frontend;
 using types::Type;
 
+/// \p Name in single quotes, for diagnostics.
+static std::string quoted(std::string_view Name) {
+  std::string Out;
+  Out.reserve(Name.size() + 2);
+  Out += '\'';
+  Out += Name;
+  Out += '\'';
+  return Out;
+}
+
 void Sema::error(SourceLocation Loc, std::string Message) {
   Diags.push_back({Loc, std::move(Message)});
 }
@@ -85,7 +95,7 @@ Type Sema::resolveTypeRef(const TypeRef &Ty) {
   case TypeRef::Kind::Named: {
     std::optional<int> Id = Classes.classIdOf(Ty.Name);
     if (!Id) {
-      error(Ty.Loc, "unknown type '" + std::string(Ty.Name) + "'");
+      error(Ty.Loc, "unknown type " + quoted(Ty.Name));
       return Type::intTy();
     }
     return Type::object(*Id);
@@ -93,7 +103,7 @@ Type Sema::resolveTypeRef(const TypeRef &Ty) {
   case TypeRef::Kind::NamedArray: {
     std::optional<int> Id = Classes.classIdOf(Ty.Name);
     if (!Id) {
-      error(Ty.Loc, "unknown type '" + std::string(Ty.Name) + "'");
+      error(Ty.Loc, "unknown type " + quoted(Ty.Name));
       return Type::intArray();
     }
     return Type::objectArray(*Id);
@@ -182,7 +192,7 @@ bool Sema::registerFreeFunctions() {
 int Sema::declareLocal(std::string_view Name, Type Ty, SourceLocation Loc) {
   for (const Scope &S : Scopes) {
     if (S.Names.count(Name)) {
-      error(Loc, "redeclaration of '" + std::string(Name) + "'");
+      error(Loc, "redeclaration of " + quoted(Name));
       return -1;
     }
   }
@@ -198,7 +208,7 @@ int Sema::lookupLocal(std::string_view Name, SourceLocation Loc) {
     if (Found != It->Names.end())
       return Found->second;
   }
-  error(Loc, "use of undeclared variable '" + std::string(Name) + "'");
+  error(Loc, "use of undeclared variable " + quoted(Name));
   return -1;
 }
 
@@ -259,9 +269,8 @@ void Sema::checkStmt(Stmt *S) {
       VarTy = resolveTypeRef(*Decl->declaredType());
       requireAssignable(InitTy, VarTy, S->loc(), "variable initialization");
     } else if (InitTy.isNull()) {
-      error(S->loc(), "cannot infer the type of '" +
-                          std::string(Decl->name()) +
-                          "' from a null initializer");
+      error(S->loc(), "cannot infer the type of " + quoted(Decl->name()) +
+                          " from a null initializer");
       VarTy = Type::intTy();
     } else if (InitTy.isVoid()) {
       error(S->loc(), "cannot initialize a variable from a void expression");
@@ -297,7 +306,7 @@ void Sema::checkStmt(Stmt *S) {
       requireAssignable(ValueTy, F.Ty, S->loc(), "field assignment");
       return;
     }
-    error(S->loc(), "unknown field '" + std::string(Assign->field()) + "'");
+    error(S->loc(), "unknown field " + quoted(Assign->field()));
     return;
   }
   case StmtKind::AssignIndex: {
@@ -436,7 +445,7 @@ Type Sema::checkExpr(Expr *E) {
     auto *New = cast<NewObjectExpr>(E);
     std::optional<int> Id = Classes.classIdOf(New->className());
     if (!Id) {
-      error(E->loc(), "unknown class '" + std::string(New->className()) + "'");
+      error(E->loc(), "unknown class " + quoted(New->className()));
       Ty = Type::intTy();
       break;
     }
@@ -454,8 +463,7 @@ Type Sema::checkExpr(Expr *E) {
     } else {
       std::optional<int> Id = Classes.classIdOf(New->elemType().Name);
       if (!Id) {
-        error(E->loc(),
-              "unknown class '" + std::string(New->elemType().Name) + "'");
+        error(E->loc(), "unknown class " + quoted(New->elemType().Name));
         Ty = Type::intArray();
         break;
       }
@@ -470,7 +478,7 @@ Type Sema::checkExpr(Expr *E) {
       error(E->loc(), "'is' requires an object operand");
     std::optional<int> Id = Classes.classIdOf(Is->className());
     if (!Id)
-      error(E->loc(), "unknown class '" + std::string(Is->className()) + "'");
+      error(E->loc(), "unknown class " + quoted(Is->className()));
     else
       Is->setClassId(*Id);
     Ty = Type::boolTy();
@@ -483,7 +491,7 @@ Type Sema::checkExpr(Expr *E) {
       error(E->loc(), "'as' requires an object operand");
     std::optional<int> Id = Classes.classIdOf(As->className());
     if (!Id) {
-      error(E->loc(), "unknown class '" + std::string(As->className()) + "'");
+      error(E->loc(), "unknown class " + quoted(As->className()));
       Ty = Type::intTy();
       break;
     }
@@ -537,8 +545,7 @@ Type Sema::checkBinary(BinaryExpr *E) {
 Type Sema::checkCall(CallExpr *E) {
   auto It = FreeFuncs.find(E->callee());
   if (It == FreeFuncs.end()) {
-    error(E->loc(),
-          "call to unknown function '" + std::string(E->callee()) + "'");
+    error(E->loc(), "call to unknown function " + quoted(E->callee()));
     for (Expr *Arg : E->args())
       checkExpr(Arg);
     return Type::intTy();
@@ -568,8 +575,7 @@ Type Sema::checkMethodCall(MethodCallExpr *E) {
   const types::MethodInfo *M =
       Classes.resolveMethod(RecvTy.classId(), E->method());
   if (!M) {
-    error(E->loc(),
-          "class has no method '" + std::string(E->method()) + "'");
+    error(E->loc(), "class has no method " + quoted(E->method()));
     for (Expr *Arg : E->args())
       checkExpr(Arg);
     return Type::intTy();
@@ -604,6 +610,6 @@ Type Sema::checkFieldAccess(FieldAccessExpr *E) {
     E->setFieldSlot(F.Index);
     return F.Ty;
   }
-  error(E->loc(), "unknown field '" + std::string(E->field()) + "'");
+  error(E->loc(), "unknown field " + quoted(E->field()));
   return Type::intTy();
 }
