@@ -30,7 +30,8 @@ public:
   /// Every block of the lowered suite and traffic programs has at most two
   /// predecessors.
   using PredecessorList = SmallVector<BasicBlock *, 2>;
-  /// Loop headers carry one phi per live variable; eight covers most.
+  /// No block of the lowered suite or traffic programs has more than three
+  /// phis; eight leaves room for the merges inlining adds.
   using PhiList = SmallVector<PhiInst *, 8>;
 
   BasicBlock(Function *Parent, std::string Name, unsigned Id)
