@@ -6,7 +6,9 @@
 
 #include "BenchCommon.h"
 
+#include <algorithm>
 #include <fstream>
+#include <string_view>
 
 using namespace incline;
 using namespace incline::bench;
@@ -15,6 +17,26 @@ using namespace incline::workloads;
 ResultCache &incline::bench::globalCache() {
   static ResultCache Cache;
   return Cache;
+}
+
+namespace {
+bool SmokeMode = false;
+} // namespace
+
+bool incline::bench::smoke() { return SmokeMode; }
+
+std::vector<Workload>
+incline::bench::smokeScaled(std::vector<Workload> Workloads) {
+  if (SmokeMode) {
+    Workloads.resize(std::min<size_t>(Workloads.size(), 3));
+    for (Workload &W : Workloads)
+      W.Iterations = SmokeIterations;
+  }
+  return Workloads;
+}
+
+std::vector<Workload> incline::bench::benchWorkloads() {
+  return smokeScaled(allWorkloads());
 }
 
 //===----------------------------------------------------------------------===//
@@ -93,32 +115,6 @@ void incline::bench::recordJsonResult(
   jsonSink().Records.push_back({Name, Metrics});
 }
 
-void incline::bench::registerBenchmarks(
-    const std::vector<Workload> &Workloads,
-    const std::vector<CompilerVariant> &Variants, const RunConfig &Config) {
-  for (const Workload &W : Workloads) {
-    for (const CompilerVariant &Variant : Variants) {
-      std::string Name = W.Name + "/" + Variant.Label;
-      // Captured by value: the registered callables outlive the caller's
-      // (possibly temporary) workload/variant vectors.
-      benchmark::RegisterBenchmark(
-          Name.c_str(),
-          [W, Variant, Config](benchmark::State &State) {
-            for (auto _ : State) {
-              const RunResult &Result =
-                  globalCache().get(W, Variant, Config);
-              State.counters["cycles"] =
-                  benchmark::Counter(Result.SteadyStateCycles);
-              State.counters["code"] = benchmark::Counter(
-                  static_cast<double>(Result.InstalledCodeSize));
-            }
-          })
-          ->Iterations(1)
-          ->Unit(benchmark::kMillisecond);
-    }
-  }
-}
-
 void incline::bench::printComparisonTable(
     const char *Title, const std::vector<Workload> &Workloads,
     const std::vector<CompilerVariant> &Variants, const RunConfig &Config) {
@@ -178,27 +174,29 @@ CompilerVariant incline::bench::c1Variant() {
 
 int incline::bench::benchMain(int argc, char **argv,
                               const std::function<void()> &PrintTables) {
-  // Peel --json off before google-benchmark sees the argument list (it
-  // rejects flags it does not know).
-  std::vector<char *> Args;
-  for (int I = 0; I < argc; ++I) {
-    std::string Arg = argv[I];
-    if (Arg == "--json" && I + 1 < argc) {
-      jsonSink().Path = argv[++I];
+  for (int I = 1; I < argc; ++I) {
+    std::string_view Arg = argv[I];
+    if (Arg == "--smoke") {
+      SmokeMode = true;
       continue;
     }
-    if (Arg.rfind("--json=", 0) == 0) {
-      jsonSink().Path = Arg.substr(7);
+    if (Arg == "--json" || Arg.starts_with("--json=")) {
+      std::string_view Path = Arg != "--json" ? Arg.substr(7)
+                              : I + 1 < argc  ? argv[++I]
+                                              : "";
+      if (Path.empty()) {
+        std::fprintf(stderr, "%s: --json needs a file path\n", argv[0]);
+        return 1;
+      }
+      jsonSink().Path = Path;
       continue;
     }
-    Args.push_back(argv[I]);
-  }
-  int Argc = static_cast<int>(Args.size());
-  benchmark::Initialize(&Argc, Args.data());
-  if (benchmark::ReportUnrecognizedArguments(Argc, Args.data()))
+    std::fprintf(stderr,
+                 "%s: unrecognized argument '%s'\n"
+                 "usage: %s [--smoke] [--json <path>]\n",
+                 argv[0], argv[I], argv[0]);
     return 1;
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
+  }
   PrintTables();
   if (!jsonSink().Path.empty() && !writeJsonResults(argv[0])) {
     std::fprintf(stderr, "cannot write --json file '%s'\n",

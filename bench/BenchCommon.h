@@ -6,15 +6,16 @@
 ///
 /// \file
 /// Plumbing shared by the per-figure/per-table bench binaries: a result
-/// cache (each (workload, configuration) pair is simulated once and
-/// reused by both the google-benchmark counters and the paper-style
-/// summary table), compiler factories for every evaluated configuration,
-/// and table renderers.
+/// cache (each (workload, configuration) pair is simulated once, however
+/// many tables read it), compiler factories for every evaluated
+/// configuration, table renderers, the `--smoke` workload subset and the
+/// `--json` result writer.
 ///
-/// Conventions: every binary runs its measurements under google-benchmark
-/// (one benchmark per table cell, a single iteration each — the metric is
-/// simulated cycles, not host wall time) and then prints the figure/table
-/// the paper reports, with the measured series.
+/// Conventions: every binary is a plain `main` that hands its table
+/// printer to benchMain. The printer simulates each cell once and prints
+/// the figure/table the paper reports, with the measured series; the
+/// metrics are simulated cycles and installed |ir|, not host wall time,
+/// except in the compile-time, tier-0 and traffic benches, which say so.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -24,8 +25,6 @@
 #include "inliner/Compilers.h"
 #include "support/Statistics.h"
 #include "workloads/Harness.h"
-
-#include <benchmark/benchmark.h>
 
 #include <cstdio>
 #include <functional>
@@ -66,17 +65,23 @@ private:
   std::map<std::string, workloads::RunResult> Cache;
 };
 
-/// The process-wide cache used by the registered benchmarks and the table
-/// printer.
+/// The process-wide cache read by the table printers.
 ResultCache &globalCache();
 
-/// Registers one google-benchmark entry per (workload, variant) pair. The
-/// benchmark body pulls from the cache and reports `cycles` (steady-state
-/// effective cycles) and `code` (installed |ir|) as counters.
-void registerBenchmarks(const std::vector<workloads::Workload> &Workloads,
-                        const std::vector<CompilerVariant> &Variants,
-                        const workloads::RunConfig &Config =
-                            workloads::RunConfig());
+/// True when the binary was invoked with `--smoke`: a reduced scale, so
+/// ctest can run every bench end to end.
+bool smoke();
+
+/// Repetitions per workload under `--smoke`.
+constexpr int SmokeIterations = 4;
+
+/// \p Workloads unchanged; under `--smoke`, only the first three, each
+/// run for SmokeIterations repetitions.
+std::vector<workloads::Workload>
+smokeScaled(std::vector<workloads::Workload> Workloads);
+
+/// The 16-workload suite, scaled by smokeScaled.
+std::vector<workloads::Workload> benchWorkloads();
 
 /// Prints the paper-style table: one row per workload, one column pair
 /// (cycles, code) per variant, plus each variant's speedup over the first
@@ -104,9 +109,10 @@ void recordJsonResult(
     const std::string &Name,
     const std::vector<std::pair<std::string, double>> &Metrics);
 
-/// Shared main: strips `--json <path>` / `--json=<path>` from the argument
-/// list, runs google-benchmark, then the binary's table printer, then (if
-/// requested) writes every recorded result as one JSON document.
+/// Shared main: parses `--smoke` and `--json <path>` / `--json=<path>`,
+/// runs the binary's table printer, then (if requested) writes every
+/// recorded result as one JSON document. Any other argument, or `--json`
+/// without a path, is rejected with exit code 1 before anything runs.
 int benchMain(int argc, char **argv, const std::function<void()> &PrintTables);
 
 } // namespace incline::bench

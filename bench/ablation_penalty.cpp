@@ -48,12 +48,11 @@ std::vector<CompilerVariant> variants() {
 void printTables() {
   printComparisonTable(
       "Ablation: exploration penalty psi (Eq.7) (speedup vs tuned)",
-      allWorkloads(), variants());
+      benchWorkloads(), variants());
 }
 
 } // namespace
 
 int main(int argc, char **argv) {
-  registerBenchmarks(allWorkloads(), variants());
   return benchMain(argc, argv, printTables);
 }

@@ -48,12 +48,11 @@ std::vector<CompilerVariant> variants() {
 void printTables() {
   printComparisonTable(
       "Ablation: polymorphic inlining limits (speedup vs poly3@10%)",
-      allWorkloads(), variants());
+      benchWorkloads(), variants());
 }
 
 } // namespace
 
 int main(int argc, char **argv) {
-  registerBenchmarks(allWorkloads(), variants());
   return benchMain(argc, argv, printTables);
 }

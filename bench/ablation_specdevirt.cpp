@@ -109,12 +109,11 @@ std::vector<CompilerVariant> variants() {
 void printTables() {
   printComparisonTable(
       "Ablation: speculative devirtualization (speedup vs cha-only)",
-      specWorkloads(), variants());
+      smokeScaled(specWorkloads()), variants());
 }
 
 } // namespace
 
 int main(int argc, char **argv) {
-  registerBenchmarks(specWorkloads(), variants());
   return benchMain(argc, argv, printTables);
 }

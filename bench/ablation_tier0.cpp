@@ -38,8 +38,6 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <cstring>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -48,8 +46,6 @@ using namespace incline::bench;
 using namespace incline::workloads;
 
 namespace {
-
-bool Smoke = false;
 
 /// Dispatch-/loop-heavy subset: tight loops over polymorphic callsites
 /// (avrora, jython) and hot arithmetic/array kernels (sunflow, xalan) —
@@ -88,18 +84,12 @@ jit::JitConfig configOf(const VariantSpec &V) {
 }
 
 int iterationsOf(const Workload &W) {
-  return Smoke ? 2 : W.Iterations;
+  return smoke() ? 2 : W.Iterations;
 }
 
-/// One timed simulation per (workload, variant): the full iteration loop
+/// One timed simulation of \p W under \p V: the full iteration loop
 /// under one runtime, wall-clocked end to end.
-const Cell &cellOf(const Workload &W, const VariantSpec &V) {
-  static std::map<std::string, Cell> Cache;
-  std::string Key = W.Name + "|" + V.Label;
-  auto It = Cache.find(Key);
-  if (It != Cache.end())
-    return It->second;
-
+Cell runCell(const Workload &W, const VariantSpec &V) {
   Cell C;
   frontend::CompileResult Compiled = frontend::compileProgram(W.Source);
   if (!Compiled.succeeded()) {
@@ -126,7 +116,7 @@ const Cell &cellOf(const Workload &W, const VariantSpec &V) {
   if (!C.Ok)
     std::fprintf(stderr, "WARNING: %s under %s failed: %s\n", W.Name.c_str(),
                  V.Label, C.Error.c_str());
-  return Cache.emplace(std::move(Key), std::move(C)).first->second;
+  return C;
 }
 
 std::vector<const Workload *> selectedWorkloads() {
@@ -135,21 +125,6 @@ std::vector<const Workload *> selectedWorkloads() {
     if (const Workload *W = findWorkload(Name))
       Result.push_back(W);
   return Result;
-}
-
-void registerTier0Benchmarks() {
-  for (const Workload *W : selectedWorkloads())
-    for (const VariantSpec &V : Variants)
-      benchmark::RegisterBenchmark(
-          ("ablation_tier0/" + W->Name + "/" + V.Label).c_str(),
-          [W, &V](benchmark::State &State) {
-            for (auto _ : State) {
-              const Cell &C = cellOf(*W, V);
-              benchmark::DoNotOptimize(C.WallMs);
-            }
-            State.counters["wall_ms"] = cellOf(*W, V).WallMs;
-          })
-          ->Iterations(1);
 }
 
 /// Cross-core JIT sweep: for every (jit mode, threads) cell, the fast and
@@ -217,7 +192,7 @@ bool checkCrossCoreJit() {
 void printTables() {
   std::printf("\nTier-0 ablation: host wall time of the interpreted tier "
               "(%s scale)\n",
-              Smoke ? "smoke" : "full");
+              smoke() ? "smoke" : "full");
   std::printf("%-10s %16s %16s %16s %16s %9s\n", "workload",
               "interp-baseline", "interp-fast", "interp-fast+pic", "jit-full",
               "speedup");
@@ -226,10 +201,10 @@ void printTables() {
   int LogCount = 0;
   bool SemanticsEqual = true;
   for (const Workload *W : selectedWorkloads()) {
-    const Cell &Base = cellOf(*W, Variants[0]);
-    const Cell &Fast = cellOf(*W, Variants[1]);
-    const Cell &Pic = cellOf(*W, Variants[2]);
-    const Cell &Jit = cellOf(*W, Variants[3]);
+    const Cell Base = runCell(*W, Variants[0]);
+    const Cell Fast = runCell(*W, Variants[1]);
+    const Cell Pic = runCell(*W, Variants[2]);
+    const Cell Jit = runCell(*W, Variants[3]);
     // The three interpreted variants must agree on everything observable.
     bool Equal = Base.Ok && Fast.Ok && Pic.Ok &&
                  Base.Output == Fast.Output && Base.Output == Pic.Output &&
@@ -263,7 +238,7 @@ void printTables() {
               "(geomean %.2fx),\nbit-identical output/profiles across cores, "
               "cross-core JIT sweep clean => %s\n",
               Geomean, AllPass ? "PASS" : "FAIL");
-  if (Smoke && Geomean < 2.0)
+  if (smoke() && Geomean < 2.0)
     std::printf("note: --smoke shrinks iterations below steady state; the "
                 "timing bar is\nmeaningful only at full scale in a Release "
                 "build\n");
@@ -276,16 +251,5 @@ void printTables() {
 } // namespace
 
 int main(int argc, char **argv) {
-  // Peel --smoke before google-benchmark sees the argument list.
-  int Out = 1;
-  for (int I = 1; I < argc; ++I) {
-    if (std::strcmp(argv[I], "--smoke") == 0) {
-      Smoke = true;
-      continue;
-    }
-    argv[Out++] = argv[I];
-  }
-  argc = Out;
-  registerTier0Benchmarks();
   return benchMain(argc, argv, printTables);
 }

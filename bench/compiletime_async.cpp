@@ -42,15 +42,8 @@ const char *modeLabel(jit::JitMode Mode) {
                                               : "det";
 }
 
-/// One simulation per (workload, mode); both the benchmark counters and
-/// the summary table read from here.
-const RunResult &resultOf(const Workload &W, jit::JitMode Mode) {
-  static std::map<std::string, RunResult> Cache;
-  std::string Key = W.Name + "|" + modeLabel(Mode);
-  auto It = Cache.find(Key);
-  if (It != Cache.end())
-    return It->second;
-
+/// One run of \p W under the incremental compiler in \p Mode.
+RunResult runMode(const Workload &W, jit::JitMode Mode) {
   RunConfig Config;
   Config.Jit.Mode = Mode;
   Config.Jit.Threads = Mode == jit::JitMode::Sync ? 1 : Threads;
@@ -59,30 +52,7 @@ const RunResult &resultOf(const Workload &W, jit::JitMode Mode) {
   if (!Result.Ok)
     std::fprintf(stderr, "WARNING: %s under %s failed: %s\n", W.Name.c_str(),
                  modeLabel(Mode), Result.Error.c_str());
-  return Cache.emplace(std::move(Key), std::move(Result)).first->second;
-}
-
-void benchBody(benchmark::State &State, const Workload &W, jit::JitMode Mode) {
-  for (auto _ : State) {
-    const RunResult &R = resultOf(W, Mode);
-    benchmark::DoNotOptimize(R.JitStats.MutatorStallNanos);
-  }
-  const RunResult &R = resultOf(W, Mode);
-  State.counters["stall_ms"] =
-      static_cast<double>(R.JitStats.MutatorStallNanos) / 1e6;
-  State.counters["compiles"] = static_cast<double>(R.Compilations.size());
-  State.counters["queue_full"] =
-      static_cast<double>(R.JitStats.QueueFullRejections);
-}
-
-void registerStallBenchmarks() {
-  for (const Workload &W : allWorkloads())
-    for (jit::JitMode Mode : {jit::JitMode::Sync, jit::JitMode::Async,
-                              jit::JitMode::Deterministic})
-      benchmark::RegisterBenchmark(
-          ("compilestall/" + W.Name + "/" + modeLabel(Mode)).c_str(),
-          [&W, Mode](benchmark::State &State) { benchBody(State, W, Mode); })
-          ->Iterations(1);
+  return Result;
 }
 
 void printTables() {
@@ -92,10 +62,10 @@ void printTables() {
   std::printf("%-24s %12s %12s %12s %9s %9s %9s\n", "workload", "sync(ms)",
               "async(ms)", "det(ms)", "async/sync", "out=", "det=sync");
   double SyncTotal = 0, AsyncTotal = 0, DetTotal = 0;
-  for (const Workload &W : allWorkloads()) {
-    const RunResult &Sync = resultOf(W, jit::JitMode::Sync);
-    const RunResult &Async = resultOf(W, jit::JitMode::Async);
-    const RunResult &Det = resultOf(W, jit::JitMode::Deterministic);
+  for (const Workload &W : benchWorkloads()) {
+    const RunResult Sync = runMode(W, jit::JitMode::Sync);
+    const RunResult Async = runMode(W, jit::JitMode::Async);
+    const RunResult Det = runMode(W, jit::JitMode::Deterministic);
     const double SyncMs =
         static_cast<double>(Sync.JitStats.MutatorStallNanos) / 1e6;
     const double AsyncMs =
@@ -133,6 +103,5 @@ void printTables() {
 } // namespace
 
 int main(int argc, char **argv) {
-  registerStallBenchmarks();
   return benchMain(argc, argv, printTables);
 }

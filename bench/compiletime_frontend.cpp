@@ -22,11 +22,13 @@
 /// Usage:
 ///   compiletime_frontend [--rounds N] [--smoke] [--json FILE]
 ///
-/// `--smoke` runs 3 rounds (for ctest); the default is 200. Plain `main`,
-/// no Google Benchmark: every number is a host time, and the tool's job is
-/// the spread, which a benchmark framework's single iteration hides.
+/// `--smoke` runs 3 rounds (for ctest); the default is 200. Every number
+/// is a host time, and the tool's job is the spread: `--json` records one
+/// row per input and phase, with the min, median and quartiles in ms.
 ///
 //===----------------------------------------------------------------------===//
+
+#include "BenchCommon.h"
 
 #include "frontend/Compiler.h"
 #include "frontend/Lexer.h"
@@ -48,6 +50,7 @@
 #include <vector>
 
 using namespace incline;
+using namespace incline::bench;
 
 namespace {
 
@@ -146,32 +149,10 @@ struct Input {
   std::vector<std::string> Sources;
 };
 
-} // namespace
+unsigned RoundsFlag = 0; ///< From --rounds; 0 = the default for the scale.
 
-int main(int argc, char **argv) {
-  unsigned Rounds = 200;
-  const char *JsonPath = nullptr;
-  for (int I = 1; I < argc; ++I) {
-    if (!std::strcmp(argv[I], "--smoke")) {
-      Rounds = 3;
-    } else if (!std::strcmp(argv[I], "--rounds") && I + 1 < argc) {
-      char *End = nullptr;
-      unsigned long N = std::strtoul(argv[++I], &End, 10);
-      if (*End || N == 0 || N > 100000) {
-        std::fprintf(stderr, "--rounds takes a count in [1, 100000]\n");
-        return 2;
-      }
-      Rounds = static_cast<unsigned>(N);
-    } else if (!std::strcmp(argv[I], "--json") && I + 1 < argc) {
-      JsonPath = argv[++I];
-    } else {
-      std::fprintf(stderr,
-                   "usage: compiletime_frontend [--rounds N] [--smoke] "
-                   "[--json FILE]\n");
-      return 2;
-    }
-  }
-
+void printTables() {
+  const unsigned Rounds = RoundsFlag ? RoundsFlag : smoke() ? 3 : 200;
   std::vector<Input> Inputs;
   Inputs.push_back({"traffic-706", {workloads::buildTrafficProgram(706)}});
   Input Suite{"suite-16", {}};
@@ -179,46 +160,51 @@ int main(int argc, char **argv) {
     Suite.Sources.push_back(W.Source);
   Inputs.push_back(std::move(Suite));
 
-  std::string Json = "{\"rounds\": " + std::to_string(Rounds) +
-                     ", \"unit\": \"ms\", \"inputs\": {";
   std::printf("frontend phase times, ms over %u rounds (min / median / "
               "q1..q3)\n",
               Rounds);
-  for (size_t In = 0; In < Inputs.size(); ++In) {
-    const Input &Inp = Inputs[In];
+  for (const Input &Inp : Inputs) {
     std::vector<std::vector<double>> Samples(NumPhases);
     for (unsigned R = 0; R < Rounds; ++R) {
       PhaseTimes Times{};
       for (const std::string &Source : Inp.Sources)
         if (!timeOnce(Source, Times))
-          return 1;
+          std::exit(1);
       for (unsigned Ph = 0; Ph < NumPhases; ++Ph)
         Samples[Ph].push_back(Times[Ph]);
     }
     std::printf("%s\n", Inp.Name.c_str());
-    Json += std::string(In ? ", " : "") + "\"" + Inp.Name + "\": {";
     for (unsigned Ph = 0; Ph < NumPhases; ++Ph) {
       Summary S = summarize(Samples[Ph]);
       std::printf("  %-16s %8.3f %8.3f  %8.3f..%-8.3f\n", PhaseNames[Ph],
                   S.Min, S.Median, S.Q1, S.Q3);
-      char Buf[192];
-      std::snprintf(Buf, sizeof(Buf),
-                    "%s\"%s\": {\"min\": %.4f, \"median\": %.4f, "
-                    "\"q1\": %.4f, \"q3\": %.4f}",
-                    Ph ? ", " : "", PhaseNames[Ph], S.Min, S.Median, S.Q1,
-                    S.Q3);
-      Json += Buf;
+      recordJsonResult(Inp.Name + "/" + PhaseNames[Ph],
+                       {{"min_ms", S.Min},
+                        {"median_ms", S.Median},
+                        {"q1_ms", S.Q1},
+                        {"q3_ms", S.Q3},
+                        {"rounds", static_cast<double>(Rounds)}});
     }
-    Json += "}";
   }
-  Json += "}}\n";
+}
 
-  if (JsonPath) {
-    std::FILE *F = std::fopen(JsonPath, "w");
-    if (!F || std::fputs(Json.c_str(), F) < 0 || std::fclose(F) != 0) {
-      std::fprintf(stderr, "error: cannot write %s\n", JsonPath);
+} // namespace
+
+int main(int argc, char **argv) {
+  // --rounds is this binary's own flag; benchMain parses the rest.
+  std::vector<char *> Args{argv[0]};
+  for (int I = 1; I < argc; ++I) {
+    if (std::strcmp(argv[I], "--rounds") != 0) {
+      Args.push_back(argv[I]);
+      continue;
+    }
+    char *End = nullptr;
+    unsigned long N = I + 1 < argc ? std::strtoul(argv[++I], &End, 10) : 0;
+    if (!End || *End || N == 0 || N > 100000) {
+      std::fprintf(stderr, "--rounds takes a count in [1, 100000]\n");
       return 1;
     }
+    RoundsFlag = static_cast<unsigned>(N);
   }
-  return 0;
+  return benchMain(static_cast<int>(Args.size()), Args.data(), printTables);
 }

@@ -11,8 +11,7 @@
 /// dominator/loop/frequency requests into hits. Two views:
 ///
 ///  * per workload — total pass time, pass runs, and analysis cache
-///    hit-rate for that workload's compilations (also exported as
-///    google-benchmark counters);
+///    hit-rate for that workload's compilations;
 ///  * per pass — the process-wide instrumentation registry aggregated
 ///    across all workloads (runs, wall time, IR-size delta, hit-rate).
 ///
@@ -34,19 +33,8 @@ using namespace incline::workloads;
 
 namespace {
 
-/// Per-workload pass totals, simulated once and reused by the benchmark
-/// counters and the table.
-struct WorkloadPassCost {
-  opt::PassMetrics Totals;
-  bool Ok = false;
-};
-
-WorkloadPassCost &costOf(const Workload &W) {
-  static std::map<std::string, WorkloadPassCost> Cache;
-  auto It = Cache.find(W.Name);
-  if (It != Cache.end())
-    return It->second;
-
+/// Pass totals over one run of \p W.
+opt::PassMetrics passCostOf(const Workload &W) {
   // Measure via a per-compile sink threaded through the compiler, so the
   // numbers cover exactly this workload's compilations (the global
   // registry keeps aggregating across workloads for the per-pass table).
@@ -59,11 +47,7 @@ WorkloadPassCost &costOf(const Workload &W) {
   if (!Result.Ok)
     std::fprintf(stderr, "WARNING: %s failed: %s\n", W.Name.c_str(),
                  Result.Error.c_str());
-
-  WorkloadPassCost Cost;
-  Cost.Totals = Sink.totals();
-  Cost.Ok = Result.Ok;
-  return Cache.emplace(W.Name, std::move(Cost)).first->second;
+  return Sink.totals();
 }
 
 double hitRateOf(const opt::PassMetrics &M) {
@@ -73,41 +57,22 @@ double hitRateOf(const opt::PassMetrics &M) {
                             static_cast<double>(Lookups);
 }
 
-void benchBody(benchmark::State &State, const Workload &W) {
-  for (auto _ : State) {
-    const WorkloadPassCost &Cost = costOf(W);
-    State.counters["pass_ms"] =
-        static_cast<double>(Cost.Totals.Nanos) / 1e6;
-    State.counters["pass_runs"] = static_cast<double>(Cost.Totals.Runs);
-    State.counters["hit_rate"] = hitRateOf(Cost.Totals);
-  }
-}
-
-void registerPassBenchmarks() {
-  for (const Workload &W : allWorkloads())
-    benchmark::RegisterBenchmark(("compiletime/" + W.Name).c_str(),
-                                 [&W](benchmark::State &State) {
-                                   benchBody(State, W);
-                                 })
-        ->Iterations(1);
-}
-
 void printTables() {
   std::printf("\nPer-workload pass cost (incremental compiler):\n");
   std::printf("%-24s %10s %12s %10s\n", "workload", "pass-runs", "time(ms)",
               "hit-rate");
   opt::PassMetrics All;
-  for (const Workload &W : allWorkloads()) {
-    const WorkloadPassCost &Cost = costOf(W);
-    All += Cost.Totals;
+  for (const Workload &W : benchWorkloads()) {
+    const opt::PassMetrics Cost = passCostOf(W);
+    All += Cost;
     std::printf("%-24s %10llu %12.3f %9.0f%%\n", W.Name.c_str(),
-                static_cast<unsigned long long>(Cost.Totals.Runs),
-                static_cast<double>(Cost.Totals.Nanos) / 1e6,
-                100.0 * hitRateOf(Cost.Totals));
+                static_cast<unsigned long long>(Cost.Runs),
+                static_cast<double>(Cost.Nanos) / 1e6,
+                100.0 * hitRateOf(Cost));
     recordJsonResult(W.Name,
-                     {{"pass_runs", static_cast<double>(Cost.Totals.Runs)},
-                      {"pass_ms", static_cast<double>(Cost.Totals.Nanos) / 1e6},
-                      {"hit_rate", hitRateOf(Cost.Totals)}});
+                     {{"pass_runs", static_cast<double>(Cost.Runs)},
+                      {"pass_ms", static_cast<double>(Cost.Nanos) / 1e6},
+                      {"hit_rate", hitRateOf(Cost)}});
   }
   std::printf("%-24s %10llu %12.3f %9.0f%%\n", "TOTAL",
               static_cast<unsigned long long>(All.Runs),
@@ -120,6 +85,5 @@ void printTables() {
 } // namespace
 
 int main(int argc, char **argv) {
-  registerPassBenchmarks();
   return benchMain(argc, argv, printTables);
 }

@@ -53,18 +53,10 @@ struct CacheRunResult {
   bool Ok = true;
 };
 
-/// One simulation per (workload, mode, threads); the compiler instance —
+/// One simulation of (workload, mode, threads); the compiler instance —
 /// and with it the shared cache — persists across the three repetitions.
-const CacheRunResult &resultOf(const Workload &W,
-                               inliner::TrialCacheMode Mode,
-                               unsigned Threads) {
-  static std::map<std::string, CacheRunResult> Cache;
-  std::string Key =
-      W.Name + "|" + modeLabel(Mode) + "|" + std::to_string(Threads);
-  auto It = Cache.find(Key);
-  if (It != Cache.end())
-    return It->second;
-
+CacheRunResult runCached(const Workload &W, inliner::TrialCacheMode Mode,
+                         unsigned Threads) {
   inliner::InlinerConfig Config;
   Config.TrialCache = Mode;
   inliner::IncrementalCompiler Compiler(Config);
@@ -88,30 +80,7 @@ const CacheRunResult &resultOf(const Workload &W,
     R.StreamFp += jit::streamFingerprint(Result.Compilations) + "\n";
     R.Output = Result.Output;
   }
-  return Cache.emplace(std::move(Key), std::move(R)).first->second;
-}
-
-void registerTrialCacheBenchmarks() {
-  for (const Workload &W : allWorkloads())
-    for (inliner::TrialCacheMode Mode :
-         {inliner::TrialCacheMode::Off, inliner::TrialCacheMode::Shared})
-      for (unsigned Threads : ThreadCounts)
-        benchmark::RegisterBenchmark(
-            ("trialcache/" + W.Name + "/" + modeLabel(Mode) + "/t" +
-             std::to_string(Threads))
-                .c_str(),
-            [&W, Mode, Threads](benchmark::State &State) {
-              for (auto _ : State) {
-                const CacheRunResult &R = resultOf(W, Mode, Threads);
-                benchmark::DoNotOptimize(R.TrialNanos);
-              }
-              const CacheRunResult &R = resultOf(W, Mode, Threads);
-              State.counters["trial_ms"] =
-                  static_cast<double>(R.TrialNanos) / 1e6;
-              State.counters["hits"] = static_cast<double>(R.Hits);
-              State.counters["misses"] = static_cast<double>(R.Misses);
-            })
-            ->Iterations(1);
+  return R;
 }
 
 void printTables() {
@@ -122,11 +91,11 @@ void printTables() {
     std::printf("%-24s %10s %10s %11s %7s %5s %5s\n", "workload", "off(ms)",
                 "shared(ms)", "shared/off", "hits", "fp=", "out=");
     double OffTotal = 0, SharedTotal = 0;
-    for (const Workload &W : allWorkloads()) {
-      const CacheRunResult &Off =
-          resultOf(W, inliner::TrialCacheMode::Off, Threads);
-      const CacheRunResult &Shared =
-          resultOf(W, inliner::TrialCacheMode::Shared, Threads);
+    for (const Workload &W : benchWorkloads()) {
+      const CacheRunResult Off =
+          runCached(W, inliner::TrialCacheMode::Off, Threads);
+      const CacheRunResult Shared =
+          runCached(W, inliner::TrialCacheMode::Shared, Threads);
       const double OffMs = static_cast<double>(Off.TrialNanos) / 1e6;
       const double SharedMs = static_cast<double>(Shared.TrialNanos) / 1e6;
       OffTotal += OffMs;
@@ -167,6 +136,5 @@ void printTables() {
 } // namespace
 
 int main(int argc, char **argv) {
-  registerTrialCacheBenchmarks();
   return benchMain(argc, argv, printTables);
 }

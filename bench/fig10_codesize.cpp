@@ -26,26 +26,11 @@
 
 #include "BenchCommon.h"
 
-#include <algorithm>
-#include <cstring>
-
 using namespace incline;
 using namespace incline::bench;
 using namespace incline::workloads;
 
 namespace {
-
-bool Smoke = false;
-
-std::vector<Workload> benchWorkloads() {
-  std::vector<Workload> Ws = allWorkloads();
-  if (Smoke) {
-    Ws.resize(std::min<size_t>(Ws.size(), 3));
-    for (Workload &W : Ws)
-      W.Iterations = 4;
-  }
-  return Ws;
-}
 
 std::vector<CompilerVariant> secondTierVariants() {
   return {incrementalVariant(), greedyVariant(), c2Variant()};
@@ -174,18 +159,5 @@ void printTables() {
 } // namespace
 
 int main(int argc, char **argv) {
-  // Peel --smoke before google-benchmark sees the argument list.
-  int Out = 1;
-  for (int I = 1; I < argc; ++I) {
-    if (std::strcmp(argv[I], "--smoke") == 0) {
-      Smoke = true;
-      continue;
-    }
-    argv[Out++] = argv[I];
-  }
-  argc = Out;
-  registerBenchmarks(benchWorkloads(), secondTierVariants());
-  registerBenchmarks(benchWorkloads(), {c1Variant()}, c1Config());
-  registerBenchmarks(benchWorkloads(), {sliceVariant()});
   return benchMain(argc, argv, printTables);
 }

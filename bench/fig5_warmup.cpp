@@ -38,7 +38,7 @@ std::vector<Workload> selected() {
   for (const char *Name : SelectedWorkloads)
     if (const Workload *W = findWorkload(Name))
       Result.push_back(*W);
-  return Result;
+  return smokeScaled(std::move(Result));
 }
 
 std::vector<CompilerVariant> variants() {
@@ -47,7 +47,8 @@ std::vector<CompilerVariant> variants() {
 
 RunConfig warmupConfig() {
   RunConfig Config;
-  Config.Iterations = 12; // Enough to see compile points and steady state.
+  // Enough to see compile points and steady state.
+  Config.Iterations = smoke() ? SmokeIterations : 12;
   return Config;
 }
 
@@ -181,6 +182,5 @@ void printAllTables() {
 } // namespace
 
 int main(int argc, char **argv) {
-  registerBenchmarks(selected(), variants(), warmupConfig());
   return benchMain(argc, argv, printAllTables);
 }

@@ -38,7 +38,7 @@ void printTables() {
   printComparisonTable(
       "Fig.6: adaptive vs fixed expansion thresholds (speedup vs adaptive; "
       "<1 means the fixed threshold is slower)",
-      allWorkloads(), variants());
+      benchWorkloads(), variants());
   std::printf(
       "\nReading: per-workload best fixed T_e varies; the adaptive policy "
       "should be within a few %% of each row's best fixed value.\n");
@@ -47,6 +47,5 @@ void printTables() {
 } // namespace
 
 int main(int argc, char **argv) {
-  registerBenchmarks(allWorkloads(), variants());
   return benchMain(argc, argv, printTables);
 }

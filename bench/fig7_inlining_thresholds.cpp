@@ -39,12 +39,11 @@ std::vector<CompilerVariant> variants() {
 void printTables() {
   printComparisonTable(
       "Fig.7: adaptive vs fixed inlining thresholds (speedup vs adaptive)",
-      allWorkloads(), variants());
+      benchWorkloads(), variants());
 }
 
 } // namespace
 
 int main(int argc, char **argv) {
-  registerBenchmarks(allWorkloads(), variants());
   return benchMain(argc, argv, printTables);
 }

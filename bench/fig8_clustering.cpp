@@ -48,12 +48,11 @@ std::vector<CompilerVariant> variants() {
 void printTables() {
   printComparisonTable("Fig.8: clustering vs 1-by-1 across (t1,t2) "
                        "(speedup vs cluster-default)",
-                       allWorkloads(), variants());
+                       benchWorkloads(), variants());
 }
 
 } // namespace
 
 int main(int argc, char **argv) {
-  registerBenchmarks(allWorkloads(), variants());
   return benchMain(argc, argv, printTables);
 }

@@ -40,7 +40,7 @@ void printTables() {
   printComparisonTable(
       "Fig.9: proposed inliner vs shallow trials / greedy / C2-style "
       "(speedup vs incremental; <1 = that variant is slower)",
-      allWorkloads(), variants());
+      benchWorkloads(), variants());
   std::printf("\nPaper shapes: incremental >= all variants on nearly every "
               "workload;\nthe gap vs greedy/C2 is largest on the "
               "scala-dacapo group;\nshallow trials cost most on "
@@ -50,6 +50,5 @@ void printTables() {
 } // namespace
 
 int main(int argc, char **argv) {
-  registerBenchmarks(allWorkloads(), variants());
   return benchMain(argc, argv, printTables);
 }

@@ -39,9 +39,8 @@
 
 #include "workloads/Traffic.h"
 
+#include <algorithm>
 #include <cstdio>
-#include <cstring>
-#include <map>
 #include <string>
 
 using namespace incline;
@@ -49,8 +48,6 @@ using namespace incline::bench;
 using namespace incline::workloads;
 
 namespace {
-
-bool Smoke = false;
 
 struct Scenario {
   const char *Name;
@@ -87,22 +84,22 @@ const char *cacheModeName(CacheMode Mode) {
 TrafficConfig configOf(const Scenario &S, bool Bounded, uint64_t Budget) {
   TrafficConfig Config;
   Config.Seed = 7;
-  Config.Tenants = Smoke ? 10 : 40;
-  Config.Requests = Smoke ? 300 : 6000;
-  Config.HotSetSize = Smoke ? 3 : 5;
+  Config.Tenants = smoke() ? 10 : 40;
+  Config.Requests = smoke() ? 300 : 6000;
+  Config.HotSetSize = smoke() ? 3 : 5;
   if (S.PhaseLength != 0)
-    Config.PhaseLength = Smoke ? 75 : 1200;
+    Config.PhaseLength = smoke() ? 75 : 1200;
   if (S.ChurnInterval != 0)
-    Config.ChurnInterval = Smoke ? 50 : 150;
+    Config.ChurnInterval = smoke() ? 50 : 150;
   // Sync keeps the whole run deterministic (the compile stall lands on the
   // exact request that triggered it — the tail the bench is after).
   Config.Jit.Mode = jit::JitMode::Sync;
   Config.Jit.CompileThreshold = 10;
   Config.Jit.Osr = true;
-  Config.Jit.OsrBackedgeThreshold = Smoke ? 200 : 400;
+  Config.Jit.OsrBackedgeThreshold = smoke() ? 200 : 400;
   if (Bounded) {
     Config.Jit.CodeCacheBudget = Budget;
-    Config.Jit.ProfileDecayHalflife = Smoke ? 5000 : 50000;
+    Config.Jit.ProfileDecayHalflife = smoke() ? 5000 : 50000;
   }
   return Config;
 }
@@ -112,26 +109,16 @@ struct Cell {
   uint64_t Budget = 0;
 };
 
-/// One simulation per (scenario, mode). Both bounded cells derive their
-/// budget from the unbounded cell's peak footprint, so unbounded always
-/// runs first — and the prune cell competes for exactly the same budget
-/// the plain bounded cell got. One shared-TrialCache compiler per cell:
-/// eviction/decay interplay with cross-compilation memoization is part of
-/// what's measured.
-const Cell &cellOf(const Scenario &S, CacheMode Mode) {
-  static std::map<std::string, Cell> Cache;
-  std::string Key = std::string(S.Name) + "|" + cacheModeName(Mode);
-  auto It = Cache.find(Key);
-  if (It != Cache.end())
-    return It->second;
-
+/// One simulation of (scenario, mode) under code-cache budget \p Budget
+/// (ignored when unbounded). Both bounded cells get half the unbounded
+/// cell's peak footprint, so the prune cell competes for exactly the
+/// budget the plain bounded cell got. One shared-TrialCache compiler per
+/// cell: eviction/decay interplay with cross-compilation memoization is
+/// part of what's measured.
+Cell runCell(const Scenario &S, CacheMode Mode, uint64_t Budget) {
   Cell C;
-  if (Mode != CacheMode::Unbounded) {
-    const Cell &Unbounded = cellOf(S, CacheMode::Unbounded);
-    C.Budget = Unbounded.R.PeakCodeBytes / 2;
-    if (C.Budget == 0)
-      C.Budget = 1;
-  }
+  if (Mode != CacheMode::Unbounded)
+    C.Budget = Budget;
   inliner::InlinerConfig InlineConfig;
   InlineConfig.TrialCache = inliner::TrialCacheMode::Shared;
   if (Mode == CacheMode::BoundedPrune) {
@@ -147,7 +134,7 @@ const Cell &cellOf(const Scenario &S, CacheMode Mode) {
   if (!C.R.Ok)
     std::fprintf(stderr, "WARNING: scenario %s (%s) failed: %s\n", S.Name,
                  cacheModeName(Mode), C.R.Error.c_str());
-  return Cache.emplace(std::move(Key), std::move(C)).first->second;
+  return C;
 }
 
 /// Supervised-compilation scenario: a stationary mix plus hostile tenants
@@ -167,13 +154,7 @@ TrafficConfig hostileConfigOf(bool LadderOn) {
   return Config;
 }
 
-const Cell &hostileCellOf(bool LadderOn) {
-  static std::map<std::string, Cell> Cache;
-  std::string Key = LadderOn ? "ladder-on" : "ladder-off";
-  auto It = Cache.find(Key);
-  if (It != Cache.end())
-    return It->second;
-
+Cell runHostile(bool LadderOn) {
   Cell C;
   inliner::InlinerConfig InlineConfig;
   InlineConfig.TrialCache = inliner::TrialCacheMode::Shared;
@@ -181,69 +162,23 @@ const Cell &hostileCellOf(bool LadderOn) {
   C.R = runTraffic(Compiler, hostileConfigOf(LadderOn));
   if (!C.R.Ok)
     std::fprintf(stderr, "WARNING: scenario hostile-tenant (%s) failed: %s\n",
-                 Key.c_str(), C.R.Error.c_str());
-  return Cache.emplace(std::move(Key), std::move(C)).first->second;
-}
-
-void registerTrafficBenchmarks() {
-  for (const Scenario &S : Scenarios)
-    for (CacheMode Mode : {CacheMode::Unbounded, CacheMode::Bounded,
-                           CacheMode::BoundedPrune})
-      benchmark::RegisterBenchmark(
-          ("server_traffic/" + std::string(S.Name) + "/" +
-           cacheModeName(Mode))
-              .c_str(),
-          [&S, Mode](benchmark::State &State) {
-            for (auto _ : State) {
-              const Cell &C = cellOf(S, Mode);
-              benchmark::DoNotOptimize(C.R.P99);
-            }
-            const Cell &C = cellOf(S, Mode);
-            State.counters["throughput_per_mcy"] = C.R.Throughput;
-            State.counters["p50_cy"] = C.R.P50;
-            State.counters["p99_cy"] = C.R.P99;
-            State.counters["p999_cy"] = C.R.P999;
-            State.counters["peak_code"] =
-                static_cast<double>(C.R.PeakCodeBytes);
-            State.counters["evictions"] = static_cast<double>(
-                C.R.CacheStats.Evictions + C.R.CacheStats.OsrEvictions);
-          })
-          ->Iterations(1);
-  for (bool LadderOn : {false, true})
-    benchmark::RegisterBenchmark(
-        ("server_traffic/hostile-tenant/" +
-         std::string(LadderOn ? "ladder-on" : "ladder-off"))
-            .c_str(),
-        [LadderOn](benchmark::State &State) {
-          for (auto _ : State) {
-            const Cell &C = hostileCellOf(LadderOn);
-            benchmark::DoNotOptimize(C.R.P99);
-          }
-          const Cell &C = hostileCellOf(LadderOn);
-          State.counters["throughput_per_mcy"] = C.R.Throughput;
-          State.counters["p50_cy"] = C.R.P50;
-          State.counters["p99_cy"] = C.R.P99;
-          State.counters["p999_cy"] = C.R.P999;
-          State.counters["deadline_bailouts"] =
-              static_cast<double>(C.R.JitStats.DeadlineBailouts);
-          State.counters["ladder_downs"] =
-              static_cast<double>(C.R.JitStats.LadderStepDowns);
-        })
-        ->Iterations(1);
+                 LadderOn ? "ladder-on" : "ladder-off", C.R.Error.c_str());
+  return C;
 }
 
 void printTables() {
   std::printf("\nMulti-tenant traffic: throughput and request-latency tails "
               "(%s scale)\n",
-              Smoke ? "smoke" : "full");
+              smoke() ? "smoke" : "full");
   std::printf("%-14s %-11s %9s %10s %10s %10s %9s %9s %7s %6s\n", "scenario",
               "cache", "req/Mcy", "p50", "p99", "p999", "peak|ir|", "budget",
               "evict", "out=");
   bool AllPass = true;
   for (const Scenario &S : Scenarios) {
-    const Cell &U = cellOf(S, CacheMode::Unbounded);
-    const Cell &B = cellOf(S, CacheMode::Bounded);
-    const Cell &P = cellOf(S, CacheMode::BoundedPrune);
+    const Cell U = runCell(S, CacheMode::Unbounded, 0);
+    const uint64_t Budget = std::max<uint64_t>(U.R.PeakCodeBytes / 2, 1);
+    const Cell B = runCell(S, CacheMode::Bounded, Budget);
+    const Cell P = runCell(S, CacheMode::BoundedPrune, Budget);
     const bool OutEqual = U.R.OutputDigest == B.R.OutputDigest;
     const bool PruneOutEqual = U.R.OutputDigest == P.R.OutputDigest;
     const double P99Ratio = U.R.P99 > 0 ? B.R.P99 / U.R.P99 : 0;
@@ -326,8 +261,8 @@ void printTables() {
   }
   // Hostile-tenant / supervised-compilation table: deep-call-tree tenants
   // under a tight compile deadline, ladder off vs on.
-  const Cell &LOff = hostileCellOf(false);
-  const Cell &LOn = hostileCellOf(true);
+  const Cell LOff = runHostile(false);
+  const Cell LOn = runHostile(true);
   const bool HostileOutEqual = LOff.R.OutputDigest == LOn.R.OutputDigest;
   const double LadderP99Ratio = LOff.R.P99 > 0 ? LOn.R.P99 / LOff.R.P99 : 0;
   // The tail bar carries a noise allowance: the p99 includes real mutator
@@ -397,16 +332,5 @@ void printTables() {
 } // namespace
 
 int main(int argc, char **argv) {
-  // Peel --smoke before google-benchmark sees the argument list.
-  int Out = 1;
-  for (int I = 1; I < argc; ++I) {
-    if (std::strcmp(argv[I], "--smoke") == 0) {
-      Smoke = true;
-      continue;
-    }
-    argv[Out++] = argv[I];
-  }
-  argc = Out;
-  registerTrafficBenchmarks();
   return benchMain(argc, argv, printTables);
 }
