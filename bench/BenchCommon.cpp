@@ -7,6 +7,8 @@
 #include "BenchCommon.h"
 
 #include <algorithm>
+#include <charconv>
+#include <cmath>
 #include <fstream>
 #include <string_view>
 
@@ -71,13 +73,13 @@ std::string jsonEscape(const std::string &S) {
   return Out;
 }
 
-/// Renders a finite double; NaN/inf have no JSON spelling and become null.
+/// Renders a double with the fewest digits that read back as the same
+/// value; NaN/inf have no JSON spelling and become null.
 std::string jsonNumber(double Value) {
-  if (Value != Value || Value > 1e308 || Value < -1e308)
+  if (!std::isfinite(Value))
     return "null";
-  char Buffer[64];
-  std::snprintf(Buffer, sizeof(Buffer), "%.6g", Value);
-  return Buffer;
+  char Buffer[32];
+  return {Buffer, std::to_chars(Buffer, std::end(Buffer), Value).ptr};
 }
 
 bool writeJsonResults(const char *Argv0) {
