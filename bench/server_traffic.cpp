@@ -110,15 +110,14 @@ struct Cell {
 };
 
 /// One simulation of (scenario, mode) under code-cache budget \p Budget
-/// (ignored when unbounded). Both bounded cells get half the unbounded
-/// cell's peak footprint, so the prune cell competes for exactly the
-/// budget the plain bounded cell got. One shared-TrialCache compiler per
-/// cell: eviction/decay interplay with cross-compilation memoization is
-/// part of what's measured.
+/// (0 when unbounded). Both bounded cells get half the unbounded cell's
+/// peak footprint, so the prune cell competes for exactly the budget the
+/// plain bounded cell got. One shared-TrialCache compiler per cell:
+/// eviction/decay interplay with cross-compilation memoization is part of
+/// what's measured.
 Cell runCell(const Scenario &S, CacheMode Mode, uint64_t Budget) {
   Cell C;
-  if (Mode != CacheMode::Unbounded)
-    C.Budget = Budget;
+  C.Budget = Budget;
   inliner::InlinerConfig InlineConfig;
   InlineConfig.TrialCache = inliner::TrialCacheMode::Shared;
   if (Mode == CacheMode::BoundedPrune) {
