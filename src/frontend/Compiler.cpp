@@ -19,31 +19,49 @@
 using namespace incline;
 using namespace incline::frontend;
 
-CompileResult incline::frontend::compileProgram(std::string_view Source) {
-  CompileResult Result;
+namespace {
 
-  Lexer Lex(Source);
-  std::vector<Token> Tokens = Lex.lexAll();
-  for (const Token &T : Tokens)
-    if (T.is(TokenKind::Error))
-      Result.Diags.push_back({T.Loc, "invalid character in input"});
-  if (!Result.Diags.empty())
-    return Result;
+/// Lexes, parses, checks and lowers \p Source, or fills \p Diags. The
+/// tokens and the parser go as soon as parsing returns, and the Program and
+/// Sema as soon as lowering does: the module never points into them.
+std::unique_ptr<ir::Module> lowerSource(std::string_view Source,
+                                        std::vector<Diagnostic> &Diags) {
+  std::unique_ptr<Program> Prog;
+  {
+    std::vector<Token> Tokens = Lexer(Source).lexAll();
+    for (const Token &T : Tokens)
+      if (T.is(TokenKind::Error))
+        Diags.push_back({T.Loc, isUnterminatedComment(T)
+                                    ? "unterminated block comment"
+                                    : "invalid character in input"});
+    if (!Diags.empty())
+      return nullptr;
 
-  Parser P(std::move(Tokens));
-  std::unique_ptr<Program> Prog = P.parseProgram();
-  Result.Diags = P.diagnostics();
-  if (!Result.Diags.empty())
-    return Result;
+    Parser P(std::move(Tokens));
+    Prog = P.parseProgram();
+    if (!P.diagnostics().empty()) {
+      Diags = P.diagnostics();
+      return nullptr;
+    }
+  }
 
   types::ClassHierarchy Classes;
   Sema S(*Prog, Classes);
   if (!S.run()) {
-    Result.Diags = S.diagnostics();
-    return Result;
+    Diags = S.diagnostics();
+    return nullptr;
   }
+  return lowerProgram(*Prog, S, std::move(Classes));
+}
 
-  Result.Mod = lowerProgram(*Prog, S, std::move(Classes));
+} // namespace
+
+CompileResult incline::frontend::compileProgram(std::string_view Source) {
+  CompileResult Result;
+  Result.Mod = lowerSource(Source, Result.Diags);
+  if (!Result.Mod)
+    return Result;
+
   // Lowering is deterministic, so the source text determines the module
   // content; seeding its digest here spares content-keyed caches (the
   // inliner's trial cache) from ever printing the module to fingerprint it.

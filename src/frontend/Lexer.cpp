@@ -8,22 +8,92 @@
 
 #include "support/ErrorHandling.h"
 
-#include <utility>
+#include <array>
+#include <cstdint>
 
 using namespace incline;
 using namespace incline::frontend;
 
-// The <cctype> classifiers of the "C" locale, inline.
-static bool isSpace(char C) {
-  return C == ' ' || (C >= '\t' && C <= '\r');
+namespace {
+
+// Byte classes. Any other byte starts an operator, a punctuation token or,
+// if it is none of those, a one-byte error token.
+enum : uint8_t {
+  Space = 1,      ///< ' ', '\t', '\v', '\f', '\r' ('\n' is Newline).
+  Newline = 2,
+  IdentStart = 4, ///< Letters and '_'.
+  Digit = 8,
+};
+constexpr uint8_t IdentChar = IdentStart | Digit;
+
+constexpr std::array<uint8_t, 256> makeClassTable() {
+  std::array<uint8_t, 256> Table{};
+  for (unsigned char C : std::string_view(" \t\v\f\r"))
+    Table[C] = Space;
+  Table['\n'] = Newline;
+  for (unsigned C = 'a'; C <= 'z'; ++C)
+    Table[C] = IdentStart;
+  for (unsigned C = 'A'; C <= 'Z'; ++C)
+    Table[C] = IdentStart;
+  Table['_'] = IdentStart;
+  for (unsigned C = '0'; C <= '9'; ++C)
+    Table[C] = Digit;
+  return Table;
 }
-static bool isDigit(char C) { return C >= '0' && C <= '9'; }
-static bool isIdentifierStart(char C) {
-  return (C >= 'a' && C <= 'z') || (C >= 'A' && C <= 'Z') || C == '_';
+constexpr std::array<uint8_t, 256> ClassOf = makeClassTable();
+
+uint8_t classOf(char C) { return ClassOf[static_cast<unsigned char>(C)]; }
+
+/// The keyword spelled by \p Text, or Identifier.
+TokenKind keywordOrIdentifier(std::string_view Text) {
+  // Most identifiers match no keyword of their length.
+  switch (Text.size()) {
+  case 2:
+    if (Text == "if") return TokenKind::KwIf;
+    if (Text == "is") return TokenKind::KwIs;
+    if (Text == "as") return TokenKind::KwAs;
+    break;
+  case 3:
+    if (Text == "var") return TokenKind::KwVar;
+    if (Text == "def") return TokenKind::KwDef;
+    if (Text == "new") return TokenKind::KwNew;
+    if (Text == "int") return TokenKind::KwInt;
+    break;
+  case 4:
+    if (Text == "else") return TokenKind::KwElse;
+    if (Text == "true") return TokenKind::KwTrue;
+    if (Text == "null") return TokenKind::KwNull;
+    if (Text == "this") return TokenKind::KwThis;
+    if (Text == "bool") return TokenKind::KwBool;
+    break;
+  case 5:
+    if (Text == "class") return TokenKind::KwClass;
+    if (Text == "while") return TokenKind::KwWhile;
+    if (Text == "print") return TokenKind::KwPrint;
+    if (Text == "false") return TokenKind::KwFalse;
+    break;
+  case 6:
+    if (Text == "return") return TokenKind::KwReturn;
+    break;
+  case 7:
+    if (Text == "extends") return TokenKind::KwExtends;
+    break;
+  }
+  return TokenKind::Identifier;
 }
-static bool isIdentifierChar(char C) {
-  return isIdentifierStart(C) || isDigit(C);
+
+/// The value of a run of decimal digits, saturated at INT64_MAX.
+int64_t literalValue(std::string_view Digits) {
+  int64_t Value = 0;
+  for (char C : Digits) {
+    if (Value > (INT64_MAX - (C - '0')) / 10)
+      return INT64_MAX;
+    Value = Value * 10 + (C - '0');
+  }
+  return Value;
 }
+
+} // namespace
 
 std::string_view incline::frontend::tokenKindName(TokenKind Kind) {
   switch (Kind) {
@@ -79,165 +149,118 @@ std::string_view incline::frontend::tokenKindName(TokenKind Kind) {
   incline_unreachable("unknown token kind");
 }
 
-char Lexer::advance() {
-  char C = Source[Pos++];
-  if (C == '\n') {
-    ++Line;
-    Column = 1;
-  } else {
-    ++Column;
-  }
-  return C;
-}
-
-bool Lexer::match(char Expected) {
-  if (peek() != Expected)
-    return false;
-  advance();
-  return true;
-}
-
-void Lexer::skipWhitespaceAndComments() {
-  while (Pos < Source.size()) {
-    char C = peek();
-    if (isSpace(C)) {
-      advance();
-      continue;
-    }
-    if (C == '/' && peek(1) == '/') {
-      while (Pos < Source.size() && peek() != '\n')
-        advance();
-      continue;
-    }
-    if (C == '/' && peek(1) == '*') {
-      advance();
-      advance();
-      while (Pos < Source.size() && !(peek() == '*' && peek(1) == '/'))
-        advance();
-      if (Pos < Source.size()) {
-        advance();
-        advance();
-      }
-      continue;
-    }
-    return;
-  }
-}
-
-Token Lexer::make(TokenKind Kind, size_t Begin, SourceLocation Loc) const {
-  Token T;
-  T.Kind = Kind;
-  T.Text = Source.substr(Begin, Pos - Begin);
-  T.Loc = Loc;
-  return T;
-}
-
-Token Lexer::lexIdentifierOrKeyword(SourceLocation Loc) {
-  // Most identifiers match no keyword of their length, so the lookup is
-  // mostly length compares.
-  static constexpr std::pair<std::string_view, TokenKind> Keywords[] = {
-      {"class", TokenKind::KwClass},   {"extends", TokenKind::KwExtends},
-      {"var", TokenKind::KwVar},       {"def", TokenKind::KwDef},
-      {"if", TokenKind::KwIf},         {"else", TokenKind::KwElse},
-      {"while", TokenKind::KwWhile},   {"return", TokenKind::KwReturn},
-      {"print", TokenKind::KwPrint},   {"new", TokenKind::KwNew},
-      {"true", TokenKind::KwTrue},     {"false", TokenKind::KwFalse},
-      {"null", TokenKind::KwNull},     {"this", TokenKind::KwThis},
-      {"int", TokenKind::KwInt},       {"bool", TokenKind::KwBool},
-      {"is", TokenKind::KwIs},         {"as", TokenKind::KwAs},
-  };
-  size_t Begin = Pos;
-  while (Pos < Source.size() &&
-         isIdentifierChar(peek()))
-    advance();
-  Token T = make(TokenKind::Identifier, Begin, Loc);
-  for (const auto &[Spelling, Kind] : Keywords)
-    if (T.Text == Spelling) {
-      T.Kind = Kind;
-      break;
-    }
-  return T;
-}
-
-Token Lexer::lexNumber(SourceLocation Loc) {
-  size_t Begin = Pos;
-  while (Pos < Source.size() && isDigit(peek()))
-    advance();
-  Token T = make(TokenKind::IntLiteral, Begin, Loc);
-  int64_t Value = 0;
-  for (char C : T.Text) {
-    // Saturate instead of overflowing UB; MiniOO literals are modest.
-    if (Value > (INT64_MAX - (C - '0')) / 10) {
-      Value = INT64_MAX;
-      break;
-    }
-    Value = Value * 10 + (C - '0');
-  }
-  T.IntValue = Value;
-  return T;
-}
-
-Token Lexer::next() {
-  skipWhitespaceAndComments();
-  SourceLocation Loc = here();
-  if (Pos >= Source.size())
-    return make(TokenKind::EndOfFile, Pos, Loc);
-
-  char C = peek();
-  if (isIdentifierStart(C))
-    return lexIdentifierOrKeyword(Loc);
-  if (isDigit(C))
-    return lexNumber(Loc);
-
-  size_t Begin = Pos;
-  advance();
-  switch (C) {
-  case '(': return make(TokenKind::LParen, Begin, Loc);
-  case ')': return make(TokenKind::RParen, Begin, Loc);
-  case '{': return make(TokenKind::LBrace, Begin, Loc);
-  case '}': return make(TokenKind::RBrace, Begin, Loc);
-  case '[': return make(TokenKind::LBracket, Begin, Loc);
-  case ']': return make(TokenKind::RBracket, Begin, Loc);
-  case ';': return make(TokenKind::Semicolon, Begin, Loc);
-  case ':': return make(TokenKind::Colon, Begin, Loc);
-  case ',': return make(TokenKind::Comma, Begin, Loc);
-  case '.': return make(TokenKind::Dot, Begin, Loc);
-  case '+': return make(TokenKind::Plus, Begin, Loc);
-  case '-':
-    return make(match('>') ? TokenKind::Arrow : TokenKind::Minus, Begin, Loc);
-  case '*': return make(TokenKind::Star, Begin, Loc);
-  case '/': return make(TokenKind::Slash, Begin, Loc);
-  case '%': return make(TokenKind::Percent, Begin, Loc);
-  case '!':
-    return make(match('=') ? TokenKind::BangEq : TokenKind::Bang, Begin, Loc);
-  case '&':
-    if (match('&'))
-      return make(TokenKind::AmpAmp, Begin, Loc);
-    return make(TokenKind::Error, Begin, Loc);
-  case '|':
-    if (match('|'))
-      return make(TokenKind::PipePipe, Begin, Loc);
-    return make(TokenKind::Error, Begin, Loc);
-  case '=':
-    return make(match('=') ? TokenKind::EqEq : TokenKind::Assign, Begin, Loc);
-  case '<':
-    return make(match('=') ? TokenKind::LessEq : TokenKind::Less, Begin, Loc);
-  case '>':
-    return make(match('=') ? TokenKind::GreaterEq : TokenKind::Greater, Begin,
-                Loc);
-  default:
-    return make(TokenKind::Error, Begin, Loc);
-  }
-}
-
-std::vector<Token> Lexer::lexAll() {
+std::vector<Token> Lexer::lexAll() const {
   // MiniOO programs run at 0.25-0.35 tokens per byte: one allocation, where
   // growing by doubling would copy and touch about twice the memory.
   std::vector<Token> Tokens;
   Tokens.reserve(Source.size() / 2 + 1);
+
+  const char *P = Source.data();
+  const char *const End = P + Source.size();
+  const char *LineStart = P;
+  unsigned Line = 1;
+  auto Emit = [&](TokenKind Kind, const char *Start, int64_t Value = 0) {
+    Tokens.emplace_back(
+        Kind, std::string_view(Start, static_cast<size_t>(P - Start)),
+        SourceLocation{Line, static_cast<unsigned>(Start - LineStart) + 1},
+        Value);
+  };
+  // \p Two if the next byte is \p Second (taking it), else \p One.
+  auto Pair = [&](char Second, TokenKind Two, TokenKind One) {
+    if (P == End || *P != Second)
+      return One;
+    ++P;
+    return Two;
+  };
+
   while (true) {
-    Tokens.push_back(next());
-    if (Tokens.back().is(TokenKind::EndOfFile))
+    // Whitespace and comments.
+    while (P < End) {
+      uint8_t Class = classOf(*P);
+      if (Class == Space) {
+        ++P;
+      } else if (Class == Newline) {
+        ++Line;
+        LineStart = ++P;
+      } else if (*P == '/' && P + 1 < End && P[1] == '/') {
+        while (P < End && *P != '\n')
+          ++P;
+      } else if (*P == '/' && P + 1 < End && P[1] == '*') {
+        const char *Open = P;
+        unsigned OpenLine = Line;
+        const char *OpenLineStart = LineStart;
+        for (P += 2; P < End && !(*P == '*' && P + 1 < End && P[1] == '/');
+             ++P)
+          if (*P == '\n') {
+            ++Line;
+            LineStart = P + 1;
+          }
+        if (P == End) {
+          // Never closed: the rest of the input is one error token,
+          // reported where the comment opens.
+          Tokens.emplace_back(
+              TokenKind::Error,
+              std::string_view(Open, static_cast<size_t>(End - Open)),
+              SourceLocation{OpenLine,
+                             static_cast<unsigned>(Open - OpenLineStart) + 1},
+              0);
+          break;
+        }
+        P += 2;
+      } else {
+        break;
+      }
+    }
+
+    const char *Start = P;
+    if (P == End) {
+      Emit(TokenKind::EndOfFile, Start);
       return Tokens;
+    }
+
+    uint8_t Class = classOf(*P++);
+    if (Class == IdentStart) {
+      while (P < End && (classOf(*P) & IdentChar))
+        ++P;
+      Emit(keywordOrIdentifier({Start, static_cast<size_t>(P - Start)}),
+           Start);
+      continue;
+    }
+    if (Class == Digit) {
+      while (P < End && classOf(*P) == Digit)
+        ++P;
+      Emit(TokenKind::IntLiteral, Start,
+           literalValue({Start, static_cast<size_t>(P - Start)}));
+      continue;
+    }
+
+    TokenKind Kind = TokenKind::Error;
+    switch (*Start) {
+    case '(': Kind = TokenKind::LParen; break;
+    case ')': Kind = TokenKind::RParen; break;
+    case '{': Kind = TokenKind::LBrace; break;
+    case '}': Kind = TokenKind::RBrace; break;
+    case '[': Kind = TokenKind::LBracket; break;
+    case ']': Kind = TokenKind::RBracket; break;
+    case ';': Kind = TokenKind::Semicolon; break;
+    case ':': Kind = TokenKind::Colon; break;
+    case ',': Kind = TokenKind::Comma; break;
+    case '.': Kind = TokenKind::Dot; break;
+    case '+': Kind = TokenKind::Plus; break;
+    case '*': Kind = TokenKind::Star; break;
+    case '/': Kind = TokenKind::Slash; break;
+    case '%': Kind = TokenKind::Percent; break;
+    case '-': Kind = Pair('>', TokenKind::Arrow, TokenKind::Minus); break;
+    case '!': Kind = Pair('=', TokenKind::BangEq, TokenKind::Bang); break;
+    case '=': Kind = Pair('=', TokenKind::EqEq, TokenKind::Assign); break;
+    case '<': Kind = Pair('=', TokenKind::LessEq, TokenKind::Less); break;
+    case '>': Kind = Pair('=', TokenKind::GreaterEq, TokenKind::Greater); break;
+    // A lone '&' or '|' stays a one-byte error token.
+    case '&': Kind = Pair('&', TokenKind::AmpAmp, TokenKind::Error); break;
+    case '|': Kind = Pair('|', TokenKind::PipePipe, TokenKind::Error); break;
+    default:
+      break;
+    }
+    Emit(Kind, Start);
   }
 }

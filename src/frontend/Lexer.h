@@ -5,9 +5,15 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A hand-written single-pass lexer for MiniOO. Supports `//` line comments
+/// A table-driven single-pass lexer for MiniOO. Supports `//` line comments
 /// and `/* */` block comments. The source buffer must outlive the tokens
 /// (token text is a view).
+///
+/// One pointer walks the buffer. A 256-entry table classifies each byte,
+/// and the lexer keeps only the current line number and where that line
+/// starts: a token's column is its distance from the line start, computed
+/// once when the token is made, so no per-character line or column
+/// bookkeeping happens.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -26,30 +32,21 @@ class Lexer {
 public:
   explicit Lexer(std::string_view Source) : Source(Source) {}
 
-  /// Lexes the next token (EndOfFile at the end, repeatedly).
-  Token next();
-
   /// Lexes the whole input. The final token is EndOfFile. Error tokens are
-  /// included in-place so the parser can report them with positions.
-  std::vector<Token> lexAll();
+  /// included in place so callers can report them with positions: a byte
+  /// that starts no token becomes a one-byte error token, and a `/*` with
+  /// no closing `*/` becomes an error token that runs to the end of the
+  /// input (see isUnterminatedComment).
+  std::vector<Token> lexAll() const;
 
 private:
-  char peek(size_t Ahead = 0) const {
-    return Pos + Ahead < Source.size() ? Source[Pos + Ahead] : '\0';
-  }
-  char advance();
-  bool match(char Expected);
-  void skipWhitespaceAndComments();
-  SourceLocation here() const { return {Line, Column}; }
-  Token make(TokenKind Kind, size_t Begin, SourceLocation Loc) const;
-  Token lexIdentifierOrKeyword(SourceLocation Loc);
-  Token lexNumber(SourceLocation Loc);
-
   std::string_view Source;
-  size_t Pos = 0;
-  unsigned Line = 1;
-  unsigned Column = 1;
 };
+
+/// True for the error token of a block comment that is never closed.
+inline bool isUnterminatedComment(const Token &T) {
+  return T.is(TokenKind::Error) && T.Text.starts_with("/*");
+}
 
 } // namespace incline::frontend
 

@@ -239,6 +239,20 @@ TEST(CompilerDiagnosticsTest, BlockScopingHidesInnerDecls) {
               "undeclared variable");
 }
 
+TEST(CompilerDiagnosticsTest, UnterminatedBlockCommentIsReportedWhereItOpens) {
+  // The comment used to swallow the rest of the input, `f` with it, and
+  // the program compiled without a word.
+  CompileResult R = compileProgram("def main() { print(1); }\n"
+                                   "  /* never closed\n"
+                                   " def f(): int { return 1; }");
+  ASSERT_FALSE(R.succeeded());
+  ASSERT_EQ(R.Diags.size(), 1u) << renderDiagnostics(R.Diags);
+  EXPECT_EQ(R.Diags[0].toString(), "2:3: unterminated block comment");
+
+  expectError("def main() { } /*/", "1:16: unterminated block comment");
+  EXPECT_TRUE(compileProgram("def main() { } /**/").succeeded());
+}
+
 //===----------------------------------------------------------------------===//
 // AST arena
 //===----------------------------------------------------------------------===//

@@ -67,8 +67,7 @@ TEST(LexerTest, IntLiteralValue) {
 }
 
 TEST(LexerTest, IntLiteralSaturatesInsteadOfOverflowing) {
-  Lexer Lex("99999999999999999999999999");
-  Token T = Lex.next();
+  Token T = Lexer("99999999999999999999999999").lexAll()[0];
   EXPECT_EQ(T.Kind, TokenKind::IntLiteral);
   EXPECT_EQ(T.IntValue, INT64_MAX);
 }
@@ -94,9 +93,10 @@ TEST(LexerTest, Comments) {
 }
 
 TEST(LexerTest, LineAndColumnTracking) {
-  Lexer Lex("a\n  b");
-  Token A = Lex.next();
-  Token B = Lex.next();
+  std::vector<Token> Tokens = Lexer("a\n  b").lexAll();
+  ASSERT_EQ(Tokens.size(), 3u);
+  const Token &A = Tokens[0];
+  const Token &B = Tokens[1];
   EXPECT_EQ(A.Loc.Line, 1u);
   EXPECT_EQ(A.Loc.Column, 1u);
   EXPECT_EQ(B.Loc.Line, 2u);
@@ -155,6 +155,16 @@ TEST(LexerPositionTest, LineCommentAtEndOfFile) {
   Tokens = Lexer(Bare).lexAll();
   ASSERT_EQ(Tokens.size(), 2u);
   expectToken(Tokens[1], Bare, TokenKind::EndOfFile, 3, 0, 1, 4);
+}
+
+TEST(LexerPositionTest, UnterminatedBlockCommentIsOneErrorToken) {
+  std::string_view Source = "a\n  /* x\n y";
+  std::vector<Token> Tokens = Lexer(Source).lexAll();
+  ASSERT_EQ(Tokens.size(), 3u);
+  expectToken(Tokens[1], Source, TokenKind::Error, 4, 7, 2, 3);
+  EXPECT_TRUE(isUnterminatedComment(Tokens[1]));
+  expectToken(Tokens[2], Source, TokenKind::EndOfFile, 11, 0, 3, 3);
+  EXPECT_FALSE(isUnterminatedComment(Lexer("#").lexAll()[0]));
 }
 
 TEST(LexerPositionTest, TabsCountAsOneColumn) {
