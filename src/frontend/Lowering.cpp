@@ -8,6 +8,7 @@
 
 #include "ir/IRBuilder.h"
 #include "support/ErrorHandling.h"
+#include "support/SmallVector.h"
 
 #include <algorithm>
 
@@ -18,13 +19,37 @@ using types::Type;
 
 namespace {
 
+/// Lowering's Braun SSA state, indexed by block id (and local id). One set
+/// serves every function of a program: each function starts it empty, and
+/// the storage the largest function needed is kept for the next.
+struct SsaTables {
+  std::vector<Value *> CurrentDef; ///< [block id * NumVars + local id].
+  std::vector<bool> Sealed;
+  std::vector<std::vector<std::pair<int, PhiInst *>>> IncompletePhis;
+  /// Trivial phis removed so far, and what replaced each (by instId).
+  std::vector<std::unique_ptr<Instruction>> RemovedPhis;
+  std::vector<Value *> ReplacedBy;
+
+  void clear() {
+    CurrentDef.clear();
+    Sealed.clear();
+    for (auto &Phis : IncompletePhis)
+      Phis.clear();
+    RemovedPhis.clear();
+    ReplacedBy.clear();
+  }
+};
+
 /// Lowers one function body with Braun-style on-the-fly SSA construction.
 class FunctionLowering {
 public:
-  FunctionLowering(const FunctionDecl &Decl, const Sema &S, Module &M,
-                   Function &F)
-      : Decl(Decl), S(S), M(M), F(F), Builder(F),
-        NumVars(Decl.LocalTypes.size()) {}
+  FunctionLowering(const FunctionDecl &Decl, Function &F, SsaTables &Tables)
+      : Decl(Decl), F(F), Builder(F), NumVars(Decl.LocalTypes.size()),
+        CurrentDef(Tables.CurrentDef), Sealed(Tables.Sealed),
+        IncompletePhis(Tables.IncompletePhis),
+        RemovedPhis(Tables.RemovedPhis), ReplacedBy(Tables.ReplacedBy) {
+    Tables.clear();
+  }
 
   void run() {
     BasicBlock *Entry = F.addBlock("entry");
@@ -106,6 +131,13 @@ private:
       V = Phi;
     } else if (BB->predecessors().size() == 1) {
       V = readVariable(Var, BB->predecessors()[0]);
+    } else if (Value *Same = sameDefInAllPredecessors(Var, BB)) {
+      // The phi placed here would be trivial and removed at once. Skip
+      // making it, but take the ids it would have taken, so every later
+      // instruction keeps its ids.
+      F.takeNextProfileId();
+      F.takeNextInstId();
+      V = Same;
     } else {
       assert(!BB->predecessors().empty() &&
              "reading a variable in an unreachable block");
@@ -115,6 +147,23 @@ private:
     }
     writeVariable(Var, BB, V);
     return V;
+  }
+
+  /// The one value every predecessor of \p BB already holds for \p Var,
+  /// or null when one has none yet or two differ. Reads nothing
+  /// recursively, so it creates nothing.
+  Value *sameDefInAllPredecessors(int Var, const BasicBlock *BB) {
+    Value *Same = nullptr;
+    for (const BasicBlock *Pred : BB->predecessors()) {
+      Value *&Def = currentDef(Var, Pred);
+      if (!Def)
+        return nullptr;
+      Def = forwarded(Def);
+      if (Same && Def != Same)
+        return nullptr;
+      Same = Def;
+    }
+    return Same;
   }
 
   PhiInst *placePhi(int Var, BasicBlock *BB) {
@@ -327,7 +376,7 @@ private:
     }
     case ExprKind::Call: {
       const auto *Call = cast<CallExpr>(E);
-      std::vector<Value *> Args;
+      SmallVector<Value *, 8> Args;
       for (const Expr *Arg : Call->args())
         Args.push_back(lowerExpr(Arg));
       return Builder.call(std::string(Call->callee()), Args, E->type());
@@ -335,7 +384,7 @@ private:
     case ExprKind::MethodCall: {
       const auto *MCall = cast<MethodCallExpr>(E);
       Value *Recv = lowerExpr(MCall->receiver());
-      std::vector<Value *> Args;
+      SmallVector<Value *, 8> Args;
       for (const Expr *Arg : MCall->args())
         Args.push_back(lowerExpr(Arg));
       return Builder.virtualCall(std::string(MCall->method()), Recv, Args,
@@ -395,20 +444,17 @@ private:
   }
 
   const FunctionDecl &Decl;
-  const Sema &S;
-  Module &M;
   Function &F;
   IRBuilder Builder;
 
-  // Indexed by block id (and local id): blocks are only added while a
-  // function is lowered, so the tables grow with Function::blockIdBound().
+  // Blocks are only added while a function is lowered, so the tables grow
+  // with Function::blockIdBound().
   const size_t NumVars;
-  std::vector<Value *> CurrentDef; ///< [block id * NumVars + local id].
-  std::vector<bool> Sealed;
-  std::vector<std::vector<std::pair<int, PhiInst *>>> IncompletePhis;
-  /// Trivial phis removed so far, and what replaced each (by instId).
-  std::vector<std::unique_ptr<Instruction>> RemovedPhis;
-  std::vector<Value *> ReplacedBy;
+  std::vector<Value *> &CurrentDef;
+  std::vector<bool> &Sealed;
+  std::vector<std::vector<std::pair<int, PhiInst *>>> &IncompletePhis;
+  std::vector<std::unique_ptr<Instruction>> &RemovedPhis;
+  std::vector<Value *> &ReplacedBy;
 };
 
 /// Creates the Function shell (signature) for \p Decl in \p M.
@@ -425,7 +471,7 @@ Function *createShell(const FunctionDecl &Decl, const Sema &S,
   for (const ParamDecl &P : Decl.Params) {
     assert(P.LocalId >= 0 && "params must be resolved by sema");
     ParamTypes.push_back(Decl.LocalTypes[static_cast<size_t>(P.LocalId)]);
-    ParamNames.push_back(P.Name);
+    ParamNames.emplace_back(P.Name);
   }
   Type RetTy;
   if (Decl.isMethod()) {
@@ -458,9 +504,8 @@ incline::frontend::lowerProgram(const Program &Prog, const Sema &S,
   for (const auto &F : Prog.Functions)
     Work.emplace_back(F.get(), createShell(*F, S, M->classes(), *M));
 
-  for (auto &[Decl, F] : Work) {
-    FunctionLowering Lowering(*Decl, S, *M, *F);
-    Lowering.run();
-  }
+  SsaTables Tables;
+  for (auto &[Decl, F] : Work)
+    FunctionLowering(*Decl, *F, Tables).run();
   return M;
 }

@@ -91,10 +91,14 @@ size_t Function::instructionCount() const {
 }
 
 ConstInt *Function::constInt(int64_t V) {
-  auto &Slot = IntConstants[V];
-  if (!Slot)
-    Slot = std::make_unique<ConstInt>(V);
-  return Slot.get();
+  auto It = std::lower_bound(
+      IntConstants.begin(), IntConstants.end(), V,
+      [](const std::unique_ptr<ConstInt> &C, int64_t V) {
+        return C->value() < V;
+      });
+  if (It == IntConstants.end() || (*It)->value() != V)
+    It = IntConstants.insert(It, std::make_unique<ConstInt>(V));
+  return It->get();
 }
 
 ConstBool *Function::constBool(bool V) {

@@ -16,7 +16,6 @@
 
 #include "ir/BasicBlock.h"
 
-#include <map>
 #include <memory>
 #include <optional>
 #include <string>
@@ -135,7 +134,9 @@ private:
   std::vector<std::unique_ptr<Argument>> Args;
   std::vector<std::unique_ptr<BasicBlock>> Blocks;
 
-  std::map<int64_t, std::unique_ptr<ConstInt>> IntConstants;
+  /// Sorted by value. A function holds a few dozen at most, so a binary
+  /// search over one array beats a tree node per constant.
+  std::vector<std::unique_ptr<ConstInt>> IntConstants;
   std::unique_ptr<ConstBool> TrueConstant;
   std::unique_ptr<ConstBool> FalseConstant;
   std::unique_ptr<ConstNull> NullConstant;

@@ -61,12 +61,12 @@ public:
   UnOpInst *unop(UnOpInst::Opcode Op, Value *V) {
     return append(std::make_unique<UnOpInst>(Op, V));
   }
-  CallInst *call(std::string Callee, const std::vector<Value *> &Args,
+  CallInst *call(std::string Callee, std::span<Value *const> Args,
                  types::Type RetTy) {
     return append(std::make_unique<CallInst>(std::move(Callee), Args, RetTy));
   }
   VirtualCallInst *virtualCall(std::string Method, Value *Receiver,
-                               const std::vector<Value *> &Args,
+                               std::span<Value *const> Args,
                                types::Type RetTy) {
     return append(std::make_unique<VirtualCallInst>(std::move(Method),
                                                     Receiver, Args, RetTy));

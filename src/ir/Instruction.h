@@ -21,6 +21,7 @@
 #include "ir/Value.h"
 #include "support/Casting.h"
 
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -226,7 +227,7 @@ private:
 /// (call-tree kind C) and ultimately inline.
 class CallInst : public Instruction {
 public:
-  CallInst(std::string Callee, const std::vector<Value *> &Args,
+  CallInst(std::string Callee, std::span<Value *const> Args,
            types::Type RetTy)
       : Instruction(ValueKind::Call, RetTy), Callee(std::move(Callee)) {
     for (Value *A : Args)
@@ -252,7 +253,7 @@ private:
 class VirtualCallInst : public Instruction {
 public:
   VirtualCallInst(std::string MethodName, Value *Receiver,
-                  const std::vector<Value *> &Args, types::Type RetTy)
+                  std::span<Value *const> Args, types::Type RetTy)
       : Instruction(ValueKind::VirtualCall, RetTy),
         MethodName(std::move(MethodName)) {
     addOperand(Receiver);
