@@ -550,7 +550,7 @@ static_assert(std::is_trivially_destructible_v<IntLitExpr> &&
 //===----------------------------------------------------------------------===//
 
 struct ParamDecl {
-  std::string Name;
+  std::string_view Name; ///< Interned.
   TypeRef Ty;
   SourceLocation Loc;
   int LocalId = -1; ///< Assigned by Sema.

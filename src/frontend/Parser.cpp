@@ -178,7 +178,7 @@ bool Parser::parseParams(std::vector<ParamDecl> &Params) {
     }
     ParamDecl P;
     P.Loc = current().Loc;
-    P.Name = std::string(advance().Text);
+    P.Name = intern(advance().Text);
     if (!expect(TokenKind::Colon, "':' before parameter type"))
       return false;
     P.Ty = parseType();

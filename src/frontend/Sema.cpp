@@ -190,24 +190,23 @@ bool Sema::registerFreeFunctions() {
 //===----------------------------------------------------------------------===//
 
 int Sema::declareLocal(std::string_view Name, Type Ty, SourceLocation Loc) {
-  for (const Scope &S : Scopes) {
-    if (S.Names.count(Name)) {
+  // MiniOO forbids shadowing: a name in any enclosing scope is taken.
+  for (const ScopedLocal &L : InScope) {
+    if (L.Name == Name.data()) {
       error(Loc, "redeclaration of " + quoted(Name));
       return -1;
     }
   }
   int Id = static_cast<int>(LocalTypes.size());
   LocalTypes.push_back(Ty);
-  Scopes.back().Names.emplace(Name, Id);
+  InScope.push_back({Name.data(), Id});
   return Id;
 }
 
 int Sema::lookupLocal(std::string_view Name, SourceLocation Loc) {
-  for (auto It = Scopes.rbegin(); It != Scopes.rend(); ++It) {
-    auto Found = It->Names.find(Name);
-    if (Found != It->Names.end())
-      return Found->second;
-  }
+  for (auto It = InScope.rbegin(); It != InScope.rend(); ++It)
+    if (It->Name == Name.data())
+      return It->Id;
   error(Loc, "use of undeclared variable " + quoted(Name));
   return -1;
 }
@@ -219,7 +218,8 @@ int Sema::lookupLocal(std::string_view Name, SourceLocation Loc) {
 void Sema::checkFunction(FunctionDecl &F) {
   CurFunc = &F;
   LocalTypes.clear();
-  Scopes.clear();
+  InScope.clear();
+  ScopeStarts.clear();
   pushScope();
 
   if (F.isMethod()) {
@@ -227,7 +227,8 @@ void Sema::checkFunction(FunctionDecl &F) {
     assert(OwnerId && "method owner class must be registered");
     // `this` occupies local id 0 but is referenced via ThisExpr, not by
     // name; register it under an unutterable name.
-    int ThisId = declareLocal("$this", Type::object(*OwnerId), F.Loc);
+    int ThisId = declareLocal(Prog.Arena.intern("$this"),
+                              Type::object(*OwnerId), F.Loc);
     (void)ThisId;
     assert(ThisId == 0 && "receiver must be local 0");
   }

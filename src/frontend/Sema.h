@@ -70,14 +70,19 @@ private:
   void requireAssignable(types::Type From, types::Type To,
                          SourceLocation Loc, const char *Context);
 
-  // Scope handling for the current function.
-  // Names are views of the AST's interned identifiers and parameter
-  // names, which outlive the checking of their function.
-  struct Scope {
-    std::map<std::string_view, int> Names;
+  // Scope handling for the current function. The locals in scope form one
+  // stack, innermost last; a scope is the stack's height when it opened.
+  // Names are the AST's interned identifiers, so equal names share an
+  // address and lookups compare pointers.
+  struct ScopedLocal {
+    const char *Name;
+    int Id;
   };
-  void pushScope() { Scopes.emplace_back(); }
-  void popScope() { Scopes.pop_back(); }
+  void pushScope() { ScopeStarts.push_back(InScope.size()); }
+  void popScope() {
+    InScope.resize(ScopeStarts.back());
+    ScopeStarts.pop_back();
+  }
   int declareLocal(std::string_view Name, types::Type Ty,
                    SourceLocation Loc);
   /// Returns the local id or -1 (with a diagnostic) when undeclared.
@@ -90,7 +95,8 @@ private:
 
   // Current function state.
   FunctionDecl *CurFunc = nullptr;
-  std::vector<Scope> Scopes;
+  std::vector<ScopedLocal> InScope;
+  std::vector<size_t> ScopeStarts;
   std::vector<types::Type> LocalTypes;
 };
 
