@@ -6,6 +6,7 @@
 
 #include "frontend/Parser.h"
 
+#include "support/ErrorHandling.h"
 #include "support/SmallVector.h"
 #include "support/StringUtils.h"
 
@@ -370,109 +371,91 @@ Stmt *Parser::parseExprOrAssign() {
 // Expressions
 //===----------------------------------------------------------------------===//
 
-Expr *Parser::parseExpr() { return parseOr(); }
-
-Expr *Parser::parseOr() {
-  Expr *Lhs = parseAnd();
-  while (Lhs && check(TokenKind::PipePipe)) {
-    SourceLocation Loc = advance().Loc;
-    Expr *Rhs = parseAnd();
-    if (!Rhs)
-      return nullptr;
-    Lhs = make<BinaryExpr>(BinaryExpr::Op::Or, Lhs, Rhs, Loc);
+/// How tightly the binary operator \p Kind binds (higher binds tighter), or
+/// 0 if \p Kind is no binary operator. The postfix type operators `is` and
+/// `as` share the comparisons' level.
+static unsigned precedenceOf(TokenKind Kind) {
+  switch (Kind) {
+  case TokenKind::PipePipe:
+    return 1;
+  case TokenKind::AmpAmp:
+    return 2;
+  case TokenKind::EqEq:
+  case TokenKind::BangEq:
+    return 3;
+  case TokenKind::Less:
+  case TokenKind::LessEq:
+  case TokenKind::Greater:
+  case TokenKind::GreaterEq:
+  case TokenKind::KwIs:
+  case TokenKind::KwAs:
+    return 4;
+  case TokenKind::Plus:
+  case TokenKind::Minus:
+    return 5;
+  case TokenKind::Star:
+  case TokenKind::Slash:
+  case TokenKind::Percent:
+    return 6;
+  default:
+    return 0;
   }
-  return Lhs;
 }
 
-Expr *Parser::parseAnd() {
-  Expr *Lhs = parseEquality();
-  while (Lhs && check(TokenKind::AmpAmp)) {
-    SourceLocation Loc = advance().Loc;
-    Expr *Rhs = parseEquality();
-    if (!Rhs)
-      return nullptr;
-    Lhs = make<BinaryExpr>(BinaryExpr::Op::And, Lhs, Rhs, Loc);
+static BinaryExpr::Op binaryOpOf(TokenKind Kind) {
+  switch (Kind) {
+  case TokenKind::PipePipe: return BinaryExpr::Op::Or;
+  case TokenKind::AmpAmp: return BinaryExpr::Op::And;
+  case TokenKind::EqEq: return BinaryExpr::Op::Eq;
+  case TokenKind::BangEq: return BinaryExpr::Op::Ne;
+  case TokenKind::Less: return BinaryExpr::Op::Lt;
+  case TokenKind::LessEq: return BinaryExpr::Op::Le;
+  case TokenKind::Greater: return BinaryExpr::Op::Gt;
+  case TokenKind::GreaterEq: return BinaryExpr::Op::Ge;
+  case TokenKind::Plus: return BinaryExpr::Op::Add;
+  case TokenKind::Minus: return BinaryExpr::Op::Sub;
+  case TokenKind::Star: return BinaryExpr::Op::Mul;
+  case TokenKind::Slash: return BinaryExpr::Op::Div;
+  case TokenKind::Percent: return BinaryExpr::Op::Mod;
+  default: break;
   }
-  return Lhs;
+  incline_unreachable("not a binary operator token");
 }
 
-Expr *Parser::parseEquality() {
-  Expr *Lhs = parseRelational();
-  while (Lhs && (check(TokenKind::EqEq) || check(TokenKind::BangEq))) {
-    BinaryExpr::Op Op = check(TokenKind::EqEq) ? BinaryExpr::Op::Eq
-                                               : BinaryExpr::Op::Ne;
-    SourceLocation Loc = advance().Loc;
-    Expr *Rhs = parseRelational();
-    if (!Rhs)
-      return nullptr;
-    Lhs = make<BinaryExpr>(Op, Lhs, Rhs, Loc);
-  }
-  return Lhs;
-}
+Expr *Parser::parseExpr() { return parseBinary(1); }
 
-Expr *Parser::parseRelational() {
-  Expr *Lhs = parseAdditive();
+Expr *Parser::parseBinary(unsigned MinPrecedence) {
+  Expr *Lhs = parseUnary();
+  // After an operator, only operators that bind no tighter may follow at
+  // this level. A binary operator's right operand takes the tighter ones;
+  // `is` and `as` have no right operand, so `a is C + 1` ends at `C`.
+  unsigned MaxPrecedence = ~0u;
   while (Lhs) {
-    if (check(TokenKind::KwIs) || check(TokenKind::KwAs)) {
-      bool IsTest = check(TokenKind::KwIs);
-      SourceLocation Loc = advance().Loc;
+    TokenKind Kind = current().Kind;
+    unsigned Precedence = precedenceOf(Kind);
+    if (Precedence == 0 || Precedence < MinPrecedence ||
+        Precedence > MaxPrecedence)
+      break;
+    MaxPrecedence = Precedence;
+    SourceLocation Loc = advance().Loc;
+    if (Kind == TokenKind::KwIs || Kind == TokenKind::KwAs) {
       if (!check(TokenKind::Identifier)) {
         error(current().Loc, "expected class name after 'is'/'as'");
         return nullptr;
       }
       std::string_view ClassName = intern(advance().Text);
-      if (IsTest)
+      if (Kind == TokenKind::KwIs)
         Lhs = make<IsExpr>(Lhs, ClassName, Loc);
       else
         Lhs = make<AsExpr>(Lhs, ClassName, Loc);
       continue;
     }
-    BinaryExpr::Op Op;
-    if (check(TokenKind::Less))
-      Op = BinaryExpr::Op::Lt;
-    else if (check(TokenKind::LessEq))
-      Op = BinaryExpr::Op::Le;
-    else if (check(TokenKind::Greater))
-      Op = BinaryExpr::Op::Gt;
-    else if (check(TokenKind::GreaterEq))
-      Op = BinaryExpr::Op::Ge;
-    else
-      break;
-    SourceLocation Loc = advance().Loc;
-    Expr *Rhs = parseAdditive();
+    // Every binary operator is left-associative: the right operand takes
+    // only operators that bind tighter.
+    Expr *Rhs = parseBinary(Precedence + 1);
     if (!Rhs)
       return nullptr;
-    Lhs = make<BinaryExpr>(Op, Lhs, Rhs, Loc);
-  }
-  return Lhs;
-}
-
-Expr *Parser::parseAdditive() {
-  Expr *Lhs = parseMultiplicative();
-  while (Lhs && (check(TokenKind::Plus) || check(TokenKind::Minus))) {
-    BinaryExpr::Op Op = check(TokenKind::Plus) ? BinaryExpr::Op::Add
-                                               : BinaryExpr::Op::Sub;
-    SourceLocation Loc = advance().Loc;
-    Expr *Rhs = parseMultiplicative();
-    if (!Rhs)
-      return nullptr;
-    Lhs = make<BinaryExpr>(Op, Lhs, Rhs, Loc);
-  }
-  return Lhs;
-}
-
-Expr *Parser::parseMultiplicative() {
-  Expr *Lhs = parseUnary();
-  while (Lhs && (check(TokenKind::Star) || check(TokenKind::Slash) ||
-                 check(TokenKind::Percent))) {
-    BinaryExpr::Op Op = check(TokenKind::Star)    ? BinaryExpr::Op::Mul
-                        : check(TokenKind::Slash) ? BinaryExpr::Op::Div
-                                                  : BinaryExpr::Op::Mod;
-    SourceLocation Loc = advance().Loc;
-    Expr *Rhs = parseUnary();
-    if (!Rhs)
-      return nullptr;
-    Lhs = make<BinaryExpr>(Op, Lhs, Rhs, Loc);
+    Lhs = make<BinaryExpr>(binaryOpOf(Kind), Lhs, Rhs, Loc);
   }
   return Lhs;
 }

@@ -67,12 +67,9 @@ private:
 
   // Expressions (precedence climbing).
   Expr *parseExpr();
-  Expr *parseOr();
-  Expr *parseAnd();
-  Expr *parseEquality();
-  Expr *parseRelational();  // Also handles `is` / `as`.
-  Expr *parseAdditive();
-  Expr *parseMultiplicative();
+  /// A unary expression followed by every binary operator (and `is` /
+  /// `as`) that binds at least as tightly as \p MinPrecedence.
+  Expr *parseBinary(unsigned MinPrecedence);
   Expr *parseUnary();
   Expr *parsePostfix();
   Expr *parsePrimary();

@@ -103,6 +103,27 @@ TEST(ParserEdgeTest, IsAsChains) {
   EXPECT_EQ(runOutput(*M), "true\n9\n");
 }
 
+TEST(ParserEdgeTest, IsAsTakeNoTighterOperatorAfterTheClassName) {
+  // `is` and `as` sit at the comparisons' level and have no right operand:
+  // a tighter operator after the class name does not continue the
+  // expression, and a comparison does.
+  EXPECT_EQ(evalMain("1 < 2 == 3 < 4"), "true\n");
+  auto M = compile(R"(
+    class A { }
+    def main() { var a = new A(); print(a is A == a is A); }
+  )");
+  EXPECT_EQ(runOutput(*M), "true\n");
+  for (const char *Body : {"print(a is A + 1);", "print((a as A * 2));",
+                           "print(a is A.f);"}) {
+    frontend::CompileResult R = frontend::compileProgram(
+        std::string("class A { var f: int; } def main() { var a = new A(); ") +
+        Body + " }");
+    ASSERT_FALSE(R.succeeded()) << Body;
+    EXPECT_NE(R.Diags[0].Message.find("expected ')'"), std::string::npos)
+        << Body << ": " << R.Diags[0].toString();
+  }
+}
+
 TEST(ParserEdgeTest, IndexOfCallResult) {
   auto M = compile(R"(
     def make(): int[] {
