@@ -6,10 +6,12 @@
 ///
 /// \file
 /// Host time of the MiniOO frontend, phase by phase. Each round lexes,
-/// parses, checks, lowers and verifies one input, then destroys the AST
-/// (with the parser's tokens) and the module, timing each step on its own:
+/// parses, checks and lowers one input, fingerprints the source and
+/// verifies the module, then destroys the AST (with the parser's tokens)
+/// and the module, timing each step on its own:
 ///
-///   lex, parse, sema, lower, verify, ast_teardown, module_teardown
+///   lex, parse, sema, lower, fingerprint, verify, ast_teardown,
+///   module_teardown
 ///
 /// plus `compile`, one whole `frontend::compileProgram` call on the same
 /// input, which runs every step but module teardown (verify only in
@@ -36,6 +38,7 @@
 #include "frontend/Parser.h"
 #include "frontend/Sema.h"
 #include "ir/IRVerifier.h"
+#include "support/Hash.h"
 #include "workloads/Traffic.h"
 #include "workloads/Workloads.h"
 
@@ -61,6 +64,7 @@ enum Phase : unsigned {
   Parse,
   SemaPhase,
   Lower,
+  Fingerprint,
   Verify,
   AstTeardown,
   ModuleTeardown,
@@ -69,7 +73,7 @@ enum Phase : unsigned {
 };
 
 const char *const PhaseNames[NumPhases] = {
-    "lex",    "parse",        "sema",            "lower",
+    "lex",    "parse",        "sema",            "lower",  "fingerprint",
     "verify", "ast_teardown", "module_teardown", "compile"};
 
 using PhaseTimes = std::array<double, NumPhases>;
@@ -109,6 +113,11 @@ bool timeOnce(const std::string &Source, PhaseTimes &Times) {
   std::unique_ptr<ir::Module> Mod =
       frontend::lowerProgram(*Prog, S, std::move(Classes));
   Times[Phase::Lower] += msSince(Mark);
+
+  // The source digest compileProgram seeds the module's fingerprint with.
+  uint64_t SourceFp = fnv1a(Source, FnvOffsetBasis);
+  Mod->seedContentFingerprint(SourceFp ? SourceFp : 1);
+  Times[Phase::Fingerprint] += msSince(Mark);
 
   std::vector<std::string> Problems = ir::verifyModule(*Mod);
   Times[Phase::Verify] += msSince(Mark);
