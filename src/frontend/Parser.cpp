@@ -20,8 +20,8 @@ const Token &Parser::peek(size_t Ahead) const {
   return Tokens[Index];
 }
 
-Token Parser::advance() {
-  Token T = current();
+const Token &Parser::advance() {
+  const Token &T = current();
   if (Pos + 1 < Tokens.size())
     ++Pos;
   return T;
@@ -517,7 +517,7 @@ Expr *Parser::parsePrimary() {
   SourceLocation Loc = current().Loc;
   switch (current().Kind) {
   case TokenKind::IntLiteral: {
-    Token T = advance();
+    const Token &T = advance();
     return make<IntLitExpr>(T.IntValue, Loc);
   }
   case TokenKind::KwTrue:

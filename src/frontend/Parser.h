@@ -40,7 +40,9 @@ private:
   // Token cursor.
   const Token &peek(size_t Ahead = 0) const;
   const Token &current() const { return peek(0); }
-  Token advance();
+  /// Consumes the current token (never the EndOfFile sentinel) and
+  /// returns it; the reference stays valid while the parser lives.
+  const Token &advance();
   bool check(TokenKind Kind) const { return current().is(Kind); }
   bool match(TokenKind Kind);
   /// Consumes a token of \p Kind or reports \p What and returns false.
