@@ -45,10 +45,8 @@ class FunctionLowering {
 public:
   FunctionLowering(const FunctionDecl &Decl, Function &F, SsaTables &Tables)
       : Decl(Decl), F(F), Builder(F), NumVars(Decl.LocalTypes.size()),
-        CurrentDef(Tables.CurrentDef), Sealed(Tables.Sealed),
-        IncompletePhis(Tables.IncompletePhis),
-        RemovedPhis(Tables.RemovedPhis), ReplacedBy(Tables.ReplacedBy) {
-    Tables.clear();
+        Ssa(Tables) {
+    Ssa.clear();
   }
 
   void run() {
@@ -74,7 +72,7 @@ public:
       else
         Builder.ret(Builder.constNull());
     }
-    assert(std::all_of(IncompletePhis.begin(), IncompletePhis.end(),
+    assert(std::all_of(Ssa.IncompletePhis.begin(), Ssa.IncompletePhis.end(),
                        [](const auto &Phis) { return Phis.empty(); }) &&
            "unsealed block at end of lowering");
   }
@@ -88,9 +86,9 @@ private:
   Value *&currentDef(int Var, const BasicBlock *BB) {
     size_t Index = BB->id() * NumVars + static_cast<size_t>(Var);
     assert(static_cast<size_t>(Var) < NumVars && "local id out of range");
-    if (Index >= CurrentDef.size())
-      CurrentDef.resize(F.blockIdBound() * NumVars, nullptr);
-    return CurrentDef[Index];
+    if (Index >= Ssa.CurrentDef.size())
+      Ssa.CurrentDef.resize(F.blockIdBound() * NumVars, nullptr);
+    return Ssa.CurrentDef[Index];
   }
 
   void writeVariable(int Var, BasicBlock *BB, Value *V) {
@@ -108,15 +106,15 @@ private:
   Value *forwarded(Value *V) const {
     while (const auto *Phi = dyn_cast<PhiInst>(V)) {
       unsigned Id = Phi->instId();
-      if (Id >= ReplacedBy.size() || !ReplacedBy[Id])
+      if (Id >= Ssa.ReplacedBy.size() || !Ssa.ReplacedBy[Id])
         break;
-      V = ReplacedBy[Id];
+      V = Ssa.ReplacedBy[Id];
     }
     return V;
   }
 
   bool isSealed(const BasicBlock *BB) const {
-    return BB->id() < Sealed.size() && Sealed[BB->id()];
+    return BB->id() < Ssa.Sealed.size() && Ssa.Sealed[BB->id()];
   }
 
   Value *readVariableRecursive(int Var, BasicBlock *BB) {
@@ -125,9 +123,9 @@ private:
       // Unknown predecessors: place an operandless phi and complete it when
       // the block is sealed.
       PhiInst *Phi = placePhi(Var, BB);
-      if (BB->id() >= IncompletePhis.size())
-        IncompletePhis.resize(F.blockIdBound());
-      IncompletePhis[BB->id()].emplace_back(Var, Phi);
+      if (BB->id() >= Ssa.IncompletePhis.size())
+        Ssa.IncompletePhis.resize(F.blockIdBound());
+      Ssa.IncompletePhis[BB->id()].emplace_back(Var, Phi);
       V = Phi;
     } else if (BB->predecessors().size() == 1) {
       V = readVariable(Var, BB->predecessors()[0]);
@@ -195,11 +193,11 @@ private:
     Phi->replaceAllUsesWith(Same);
     // CurrentDef may still name the dead phi. Rather than search it, keep
     // the phi allocated but out of its block, and let reads forward.
-    if (Phi->instId() >= ReplacedBy.size())
-      ReplacedBy.resize(F.instIdBound(), nullptr);
-    ReplacedBy[Phi->instId()] = Same;
-    RemovedPhis.push_back(Phi->parent()->detach(Phi));
-    RemovedPhis.back()->dropAllOperands();
+    if (Phi->instId() >= Ssa.ReplacedBy.size())
+      Ssa.ReplacedBy.resize(F.instIdBound(), nullptr);
+    Ssa.ReplacedBy[Phi->instId()] = Same;
+    Ssa.RemovedPhis.push_back(Phi->parent()->detach(Phi));
+    Ssa.RemovedPhis.back()->dropAllOperands();
     for (PhiInst *P : PhiUsers)
       tryRemoveTrivialPhi(P);
     return Same;
@@ -207,14 +205,14 @@ private:
 
   void sealBlock(BasicBlock *BB) {
     assert(!isSealed(BB) && "sealing a block twice");
-    if (BB->id() >= Sealed.size())
-      Sealed.resize(F.blockIdBound(), false);
-    Sealed[BB->id()] = true;
-    if (BB->id() >= IncompletePhis.size())
+    if (BB->id() >= Ssa.Sealed.size())
+      Ssa.Sealed.resize(F.blockIdBound(), false);
+    Ssa.Sealed[BB->id()] = true;
+    if (BB->id() >= Ssa.IncompletePhis.size())
       return;
     std::vector<std::pair<int, PhiInst *>> Pending =
-        std::move(IncompletePhis[BB->id()]);
-    IncompletePhis[BB->id()].clear();
+        std::move(Ssa.IncompletePhis[BB->id()]);
+    Ssa.IncompletePhis[BB->id()].clear();
     for (auto &[Var, Phi] : Pending)
       addPhiOperands(Var, Phi);
   }
@@ -450,11 +448,7 @@ private:
   // Blocks are only added while a function is lowered, so the tables grow
   // with Function::blockIdBound().
   const size_t NumVars;
-  std::vector<Value *> &CurrentDef;
-  std::vector<bool> &Sealed;
-  std::vector<std::vector<std::pair<int, PhiInst *>>> &IncompletePhis;
-  std::vector<std::unique_ptr<Instruction>> &RemovedPhis;
-  std::vector<Value *> &ReplacedBy;
+  SsaTables &Ssa;
 };
 
 /// Creates the Function shell (signature) for \p Decl in \p M.

@@ -102,8 +102,9 @@ public:
   void dropAllReferences();
 
 private:
-  /// Gives an empty instruction list room for a typical block at once,
-  /// instead of regrowing it at one, two and four entries.
+  /// Starts an empty instruction list with room for four entries, where
+  /// doubling would allocate for one, then two, then four: most lowered
+  /// blocks hold two to five instructions.
   void reserveFirst() {
     if (Insts.capacity() == 0)
       Insts.reserve(FirstCapacity);

@@ -7,9 +7,10 @@
 // Feeds damaged copies of the suite's sources through compileProgram:
 // every prefix that ends at a multiple of 97 bytes, and, for every 11th
 // byte, a copy with that byte changed (a flipped bit, or a substituted
-// delimiter, operator or stray byte). Each input must either compile to a module the
-// verifier accepts or produce at least one diagnostic. A crash, a verifier
-// failure, or a failed compile with no diagnostic fails the test.
+// delimiter, operator or stray byte). Each input must either compile to a
+// module the verifier accepts or produce at least one diagnostic. A crash,
+// a verifier failure, or a failed compile with no diagnostic fails the
+// test.
 //
 // The inputs end at arbitrary bytes (mid-identifier, mid-comment, after a
 // lone '/'), which is where a lexer reads past its buffer, so the
