@@ -38,7 +38,6 @@
 #include "frontend/Parser.h"
 #include "frontend/Sema.h"
 #include "ir/IRVerifier.h"
-#include "support/Hash.h"
 #include "workloads/Traffic.h"
 #include "workloads/Workloads.h"
 
@@ -114,9 +113,7 @@ bool timeOnce(const std::string &Source, PhaseTimes &Times) {
       frontend::lowerProgram(*Prog, S, std::move(Classes));
   Times[Phase::Lower] += msSince(Mark);
 
-  // The source digest compileProgram seeds the module's fingerprint with.
-  uint64_t SourceFp = fnv1a(Source, FnvOffsetBasis);
-  Mod->seedContentFingerprint(SourceFp ? SourceFp : 1);
+  frontend::seedSourceFingerprint(*Mod, Source);
   Times[Phase::Fingerprint] += msSince(Mark);
 
   std::vector<std::string> Problems = ir::verifyModule(*Mod);

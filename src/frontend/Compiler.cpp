@@ -56,17 +56,19 @@ std::unique_ptr<ir::Module> lowerSource(std::string_view Source,
 
 } // namespace
 
+void incline::frontend::seedSourceFingerprint(ir::Module &Mod,
+                                              std::string_view Source) {
+  uint64_t SourceFp = fnv1a(Source, FnvOffsetBasis);
+  Mod.seedContentFingerprint(SourceFp ? SourceFp : 1);
+}
+
 CompileResult incline::frontend::compileProgram(std::string_view Source) {
   CompileResult Result;
   Result.Mod = lowerSource(Source, Result.Diags);
   if (!Result.Mod)
     return Result;
 
-  // Lowering is deterministic, so the source text determines the module
-  // content; seeding its digest here spares content-keyed caches (the
-  // inliner's trial cache) from ever printing the module to fingerprint it.
-  uint64_t SourceFp = fnv1a(Source, FnvOffsetBasis);
-  Result.Mod->seedContentFingerprint(SourceFp ? SourceFp : 1);
+  seedSourceFingerprint(*Result.Mod, Source);
 #ifndef NDEBUG
   std::vector<std::string> Problems = ir::verifyModule(*Result.Mod);
   if (!Problems.empty()) {

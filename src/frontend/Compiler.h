@@ -36,6 +36,13 @@ struct CompileResult {
 /// verifier (asserted in debug builds).
 CompileResult compileProgram(std::string_view Source);
 
+/// Seeds \p Mod's content fingerprint with a digest of \p Source, as
+/// compileProgram does for every module it returns. Lowering is
+/// deterministic, so the source text determines the module content; the
+/// seed spares content-keyed caches (the inliner's trial cache) from ever
+/// printing the module to fingerprint it.
+void seedSourceFingerprint(ir::Module &Mod, std::string_view Source);
+
 /// Like compileProgram, but aborts with rendered diagnostics on failure.
 /// For tests and benchmark workloads whose sources are known-good.
 std::unique_ptr<ir::Module> compileOrDie(std::string_view Source);

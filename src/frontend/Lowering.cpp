@@ -50,7 +50,7 @@ public:
   }
 
   void run() {
-    BasicBlock *Entry = F.addBlock("entry");
+    BasicBlock *Entry = addBlock("entry");
     Builder.setInsertBlock(Entry);
     sealBlock(Entry);
     // Parameters (including the receiver at slot 0 for methods) seed the
@@ -78,6 +78,17 @@ public:
   }
 
 private:
+  /// A new block with room for four instructions, where growing from empty
+  /// would allocate for one, then two, then four. Of the 4,242 blocks the
+  /// 706-handler traffic program lowers to, half end with two to four
+  /// instructions and the rest with five to fourteen; the reserve saves
+  /// about 7,800 allocations there (DESIGN §16).
+  BasicBlock *addBlock(std::string Name) {
+    BasicBlock *BB = F.addBlock(std::move(Name));
+    BB->reserve(4);
+    return BB;
+  }
+
   //===--------------------------------------------------------------------===//
   // SSA variable bookkeeping (Braun et al.)
   //===--------------------------------------------------------------------===//
@@ -287,9 +298,9 @@ private:
 
   void lowerIf(const IfStmt *If) {
     Value *Cond = lowerExpr(If->condition());
-    BasicBlock *ThenBB = F.addBlock("then");
-    BasicBlock *ElseBB = If->elseStmt() ? F.addBlock("else") : nullptr;
-    BasicBlock *MergeBB = F.addBlock("merge");
+    BasicBlock *ThenBB = addBlock("then");
+    BasicBlock *ElseBB = If->elseStmt() ? addBlock("else") : nullptr;
+    BasicBlock *MergeBB = addBlock("merge");
 
     Builder.branch(Cond, ThenBB, ElseBB ? ElseBB : MergeBB);
     sealBlock(ThenBB);
@@ -319,9 +330,9 @@ private:
   }
 
   void lowerWhile(const WhileStmt *While) {
-    BasicBlock *CondBB = F.addBlock("while.cond");
-    BasicBlock *BodyBB = F.addBlock("while.body");
-    BasicBlock *ExitBB = F.addBlock("while.exit");
+    BasicBlock *CondBB = addBlock("while.cond");
+    BasicBlock *BodyBB = addBlock("while.body");
+    BasicBlock *ExitBB = addBlock("while.exit");
 
     Builder.jump(CondBB);
     // CondBB stays unsealed until the latch edge exists.

@@ -37,7 +37,6 @@ Instruction *BasicBlock::append(std::unique_ptr<Instruction> Inst) {
   Raw->setParent(this);
   if (!Raw->InstId)
     Raw->InstId = Parent->takeNextInstId();
-  reserveFirst();
   Insts.push_back(std::move(Inst));
   if (Raw->isTerminator())
     for (BasicBlock *Succ : successorsOf(Raw))
@@ -53,7 +52,6 @@ Instruction *BasicBlock::insertAt(size_t Index,
   Raw->setParent(this);
   if (!Raw->InstId)
     Raw->InstId = Parent->takeNextInstId();
-  reserveFirst();
   Insts.insert(Insts.begin() + static_cast<long>(Index), std::move(Inst));
   return Raw;
 }

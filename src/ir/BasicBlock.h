@@ -69,6 +69,9 @@ public:
   Instruction *insertBefore(Instruction *Before,
                             std::unique_ptr<Instruction> Inst);
 
+  /// Makes room for \p N instructions without appending any.
+  void reserve(size_t N) { Insts.reserve(N); }
+
   /// Unlinks and destroys \p Inst. The instruction must have no remaining
   /// uses. Terminator removal detaches successor edges.
   void erase(Instruction *Inst);
@@ -102,15 +105,6 @@ public:
   void dropAllReferences();
 
 private:
-  /// Starts an empty instruction list with room for four entries, where
-  /// doubling would allocate for one, then two, then four: most lowered
-  /// blocks hold two to five instructions.
-  void reserveFirst() {
-    if (Insts.capacity() == 0)
-      Insts.reserve(FirstCapacity);
-  }
-  static constexpr size_t FirstCapacity = 4;
-
   Function *Parent;
   std::string Name;
   unsigned Id;

@@ -134,8 +134,8 @@ private:
   std::vector<std::unique_ptr<Argument>> Args;
   std::vector<std::unique_ptr<BasicBlock>> Blocks;
 
-  /// Sorted by value. A function holds a few dozen at most, so a binary
-  /// search over one array beats a tree node per constant.
+  /// Sorted by value and found by binary search: one array instead of a
+  /// tree node per constant.
   std::vector<std::unique_ptr<ConstInt>> IntConstants;
   std::unique_ptr<ConstBool> TrueConstant;
   std::unique_ptr<ConstBool> FalseConstant;
